@@ -12,6 +12,7 @@ from .nightvision import (
     noise_filter_kernel,
 )
 from .registry import AcceleratorRegistry
+from .results import ResultTable
 
 __all__ = [
     "AcceleratorRegistry",
@@ -27,4 +28,5 @@ __all__ = [
     "night_vision_stage_specs",
     "noise_filter_kernel",
     "partition_classifier",
+    "ResultTable",
 ]

@@ -4,7 +4,7 @@ An :class:`AcceleratorSpec` is the result of one of the two design
 branches of Fig. 3 — the HLS4ML branch (ML kernels) or the generic
 SystemC/Stratus branch (e.g. the Night-Vision kernels). It bundles:
 
-- the functional kernel (bit-accurate NumPy compute),
+- the functional kernel (bit-accurate NumPy compute, row-batched),
 - the per-frame timing from the HLS schedule,
 - the FPGA resource estimate,
 - the I/O geometry (words per input/output frame, word width) that the
@@ -23,7 +23,16 @@ from ..hls import ResourceEstimate
 
 @dataclass(frozen=True)
 class AcceleratorSpec:
-    """A synthesized accelerator, ready for SoC integration."""
+    """A synthesized accelerator, ready for SoC integration.
+
+    ``compute`` is row-batched: it maps an ``(n, input_words)`` float64
+    array to ``(n, output_words)``, row ``i`` of the result depending
+    on row ``i`` of the input alone and equal, bit for bit, to what the
+    kernel gives that row in a batch of one. The hardware still runs
+    one frame per COMPUTE step; batching only lets the simulator
+    evaluate many frames in one NumPy call (see
+    :mod:`repro.accelerators.results`).
+    """
 
     name: str
     input_words: int
@@ -58,19 +67,25 @@ class AcceleratorSpec:
         if self.design_flow not in ("hls4ml", "stratus"):
             raise ValueError(f"unknown design flow {self.design_flow!r}")
 
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        """Invoke the kernel on one frame, validating I/O geometry."""
-        frame = np.asarray(frame, dtype=np.float64).reshape(-1)
-        if len(frame) != self.input_words:
+    def run_batch(self, frames: np.ndarray) -> np.ndarray:
+        """Invoke the kernel on ``(n, input_words)`` frames at once,
+        validating the I/O geometry once for the whole batch."""
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self.input_words:
             raise ValueError(
-                f"{self.name}: expected {self.input_words} input words, "
-                f"got {len(frame)}")
-        out = np.asarray(self.compute(frame), dtype=np.float64).reshape(-1)
-        if len(out) != self.output_words:
+                f"{self.name}: expected {self.input_words} input words "
+                f"per frame, got shape {frames.shape}")
+        out = np.asarray(self.compute(frames), dtype=np.float64)
+        if out.shape != (len(frames), self.output_words):
             raise ValueError(
-                f"{self.name}: kernel produced {len(out)} words, spec "
-                f"says {self.output_words}")
+                f"{self.name}: kernel produced shape {out.shape}, spec "
+                f"says ({len(frames)}, {self.output_words})")
         return out
+
+    def run(self, frame: np.ndarray) -> np.ndarray:
+        """Invoke the kernel on one frame (any shape, flattened)."""
+        frame = np.asarray(frame, dtype=np.float64).reshape(1, -1)
+        return self.run_batch(frame)[0]
 
     @property
     def plm_words(self) -> int:
@@ -96,10 +111,10 @@ def chain_specs(name: str, stages: Sequence[AcceleratorSpec],
                 f"stage {prev.name!r} outputs {prev.output_words} words, "
                 f"{nxt.name!r} expects {nxt.input_words}")
 
-    def fused(frame: np.ndarray) -> np.ndarray:
+    def fused(frames: np.ndarray) -> np.ndarray:
         for stage in stages:
-            frame = stage.run(frame)
-        return frame
+            frames = stage.run_batch(frames)
+        return frames
 
     resources = ResourceEstimate()
     for stage in stages:

@@ -51,10 +51,13 @@ def classifier_hls(model: Optional[Sequential] = None,
 
 
 def spec_from_hls(hls_model: HlsModel, name: str) -> AcceleratorSpec:
-    """Wrap any compiled HLS model into an SoC-ready spec."""
+    """Wrap any compiled HLS model into an SoC-ready spec.
 
-    def compute(frame: np.ndarray) -> np.ndarray:
-        return hls_model.predict(frame)[0]
+    ``HlsModel.predict`` is already row-batched, so it is the kernel.
+    """
+
+    def compute(frames: np.ndarray) -> np.ndarray:
+        return hls_model.predict(frames)
 
     return AcceleratorSpec(
         name=name,

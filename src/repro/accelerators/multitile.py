@@ -36,8 +36,8 @@ def partition_classifier(hls_model: Optional[HlsModel] = None,
     specs: List[AcceleratorSpec] = []
     for index, layer in enumerate(hls_model.layers):
 
-        def compute(frame: np.ndarray, _layer=layer) -> np.ndarray:
-            return _layer.forward(np.atleast_2d(frame))[0]
+        def compute(frames: np.ndarray, _layer=layer) -> np.ndarray:
+            return _layer.forward(frames)
 
         specs.append(AcceleratorSpec(
             name=f"{hls_model.name}_part{index}",

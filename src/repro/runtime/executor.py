@@ -606,7 +606,7 @@ class DataflowExecutor:
             frame = memory.read_words(src_offset + index * src_step,
                                       spec.input_words)
             memory.write_words(dst_offset + index * dst_step,
-                               spec.run(frame))
+                               self.soc.results.take(spec, frame))
             self.software_frames += 1
             plan.software_frames += 1
         if sid is not None:
@@ -894,6 +894,20 @@ class DataflowExecutor:
 
     # -- entry point --------------------------------------------------------------------
 
+    def _load_inputs(self, plan: ExecutionPlan, frames: np.ndarray) -> None:
+        """Write the input frames to DRAM and prime the SoC's result
+        table with them and the plan's stage specs."""
+        plan.input_buffer.write(frames.reshape(-1))
+        self.soc.results.prime(
+            plan, [[node.spec for node in row] for row in plan.levels],
+            frames)
+
+    def _read_outputs(self, plan: ExecutionPlan) -> np.ndarray:
+        """The plan's results from DRAM; its primed rows are dropped."""
+        self.soc.results.drop(plan)
+        out_words = plan.levels[-1][0].spec.output_words
+        return plan.output_buffer.read().reshape(plan.n_frames, out_words)
+
     def execute(self, dataflow: Dataflow, frames: np.ndarray,
                 mode: str, coherence=None, coherent=None,
                 dvfs: Optional[Dict[str, int]] = None) -> RunResult:
@@ -916,7 +930,7 @@ class DataflowExecutor:
             raise ValueError(
                 f"input frames have {frames.shape[1]} words; level-0 "
                 f"devices expect {in_words}")
-        plan.input_buffer.write(frames.reshape(-1))
+        self._load_inputs(plan, frames)
 
         env = self.soc.env
         dram_before = self.soc.memory_map.total_accesses
@@ -965,9 +979,7 @@ class DataflowExecutor:
         # tail is a few service cycles and is excluded from the timing.
         env.run()
 
-        out_words = plan.levels[-1][0].spec.output_words
-        outputs = plan.output_buffer.read().reshape(plan.n_frames,
-                                                    out_words)
+        outputs = self._read_outputs(plan)
         return RunResult(
             dataflow=dataflow.name,
             mode=mode,
@@ -1006,7 +1018,7 @@ class DataflowExecutor:
         self.release_plan(plan)
         replan = self.plan(dataflow, len(frames), "pipe",
                            coherence=plan.coherence, dvfs=dvfs)
-        replan.input_buffer.write(frames.reshape(-1))
+        self._load_inputs(replan, frames)
         done = env.process(self._pipe_main(replan),
                            name=f"main:degraded:{dataflow.name}")
         env.run(until=done)
@@ -1040,11 +1052,13 @@ class DataflowExecutor:
                 pass
 
     def release_plan(self, plan: ExecutionPlan) -> None:
-        """Return every buffer the plan allocated to the allocator.
+        """Return every buffer the plan allocated to the allocator and
+        drop its primed kernel results.
 
         Idempotent (``free`` ignores already-freed buffers), so a
         failure path and a finally-style caller can both release.
         """
+        self.soc.results.drop(plan)
         for buffer in plan.buffers:
             self.allocator.free(buffer)
 
@@ -1106,7 +1120,7 @@ class DataflowExecutor:
         yield env.timeout(self.recovery.reset_cycles)
         replan = self.plan(dataflow, len(frames), "pipe",
                            coherence=plan.coherence, dvfs=dvfs)
-        replan.input_buffer.write(frames.reshape(-1))
+        self._load_inputs(replan, frames)
         # Carry the aborted attempt's accounting so the RunResult
         # reflects the whole request, not just the re-run.
         replan.ioctl_calls = plan.ioctl_calls
@@ -1152,7 +1166,7 @@ class DataflowExecutor:
             raise ValueError(
                 f"input frames have {frames.shape[1]} words; level-0 "
                 f"devices expect {in_words}")
-        plan.input_buffer.write(frames.reshape(-1))
+        self._load_inputs(plan, frames)
 
         env = self.soc.env
         dram_before = self.soc.memory_map.total_accesses
@@ -1184,9 +1198,7 @@ class DataflowExecutor:
         # read below (the serving analogue of execute's global drain —
         # the tail is excluded from the timing, as there).
         yield from self._quiesce_stores()
-        out_words = plan.levels[-1][0].spec.output_words
-        outputs = plan.output_buffer.read().reshape(plan.n_frames,
-                                                    out_words)
+        outputs = self._read_outputs(plan)
         result = RunResult(
             dataflow=dataflow.name,
             mode=mode,

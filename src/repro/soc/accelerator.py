@@ -12,6 +12,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..accelerators.base import AcceleratorSpec
+from ..accelerators.results import ResultTable
 from ..faults.errors import KernelCrash
 from ..noc import IO_PLANE, Mesh2D, MessageKind, Packet
 from ..sim import Environment, Event, Semaphore
@@ -83,13 +84,15 @@ class AcceleratorTile:
 
     def __init__(self, env: Environment, mesh: Mesh2D, coord: Coord,
                  spec: AcceleratorSpec, memory_map: MemoryMap,
-                 device_name: str, irq_dst: Coord,
+                 device_name: str, irq_dst: Coord, results: ResultTable,
                  tlb: Optional[Tlb] = None,
                  private_cache_words: Optional[int] = None) -> None:
         self.env = env
         self.mesh = mesh
         self.coord = coord
         self.spec = spec
+        #: Where COMPUTE takes its kernel results from (shared SoC-wide).
+        self.results = results
         self.device_name = device_name
         self.irq_dst = irq_dst
         self.regs = RegisterFile(
@@ -215,7 +218,7 @@ class AcceleratorTile:
         wrapper = wrapper_process_double_buffered \
             if self.spec.double_buffered else wrapper_process
         result = yield self.env.process(
-            wrapper(self.env, self.spec, self.dma, config),
+            wrapper(self.env, self.spec, self.dma, config, self.results),
             name=f"wrapper:{self.device_name}")
         return result
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..accelerators.results import ResultTable
 from ..hls import ResourceEstimate
 from ..noc import Mesh2D, NocReport, build_routing_table, collect_report
 from ..sim import Environment
@@ -47,6 +48,9 @@ class SoCInstance:
     accelerators: Dict[str, AcceleratorTile]
     aux_tiles: List[AuxTile]
     routing_tables: Dict[Coord, Dict[Coord, Coord]]
+    #: Primed kernel results shared by the runtime and every tile's
+    #: wrapper (see :mod:`repro.accelerators.results`).
+    results: ResultTable
 
     @property
     def clock_mhz(self) -> float:
@@ -119,12 +123,14 @@ def build_soc(config: SoCConfig,
 
     cpu = ProcessorTile(env, mesh, cpu_coord)
 
+    results = ResultTable()
     accelerators: Dict[str, AcceleratorTile] = {}
     for coord, tile in config.tiles_of_kind("acc"):
         accelerators[tile.name] = AcceleratorTile(
             env, mesh, coord, tile.spec, memory_map,
             device_name=tile.name, irq_dst=cpu_coord,
-            private_cache_words=tile.private_cache_words)
+            private_cache_words=tile.private_cache_words,
+            results=results)
 
     aux_tiles = [AuxTile(env, mesh, coord)
                  for coord, _ in config.tiles_of_kind("aux")]
@@ -143,4 +149,5 @@ def build_soc(config: SoCConfig,
         accelerators=accelerators,
         aux_tiles=aux_tiles,
         routing_tables=routing_tables,
+        results=results,
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..accelerators.base import AcceleratorSpec
+from ..accelerators.results import ResultTable
 from .coherence import CoherenceMode
 from .dma import DmaEngine
 from .registers import P2PConfig
@@ -74,14 +75,15 @@ class InvocationResult:
 
 
 def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
-                    config: InvocationConfig):
+                    config: InvocationConfig, results: ResultTable):
     """One accelerator invocation: the Fig. 4 loop as a sim process.
 
     Each loop iteration moves one frame: a LOAD of ``input_words``, a
     COMPUTE of the kernel's latency, a STORE of ``output_words``. The
     source/destination addresses advance by one frame per iteration,
     exactly as the generated wrapper derives them from the iteration
-    index and the configured dataset size.
+    index and the configured dataset size. COMPUTE takes the kernel's
+    result for the loaded frame from ``results``.
     """
     start = env.now
     p2p = config.p2p
@@ -107,12 +109,13 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
 
         # COMPUTE: the kernel's schedule determines the cycle cost,
         # stretched by the tile's DVFS divider; the functional result
-        # comes from the bit-accurate NumPy kernel.
+        # is the bit-accurate NumPy kernel applied to the loaded frame
+        # (evaluated ahead in a batch when the frame was primed).
         sid = None if tracer is None else tracer.begin(
             pid, "wrapper", f"compute f{index}", "acc.compute",
             frame=index)
         yield env.timeout(spec.latency_cycles * config.clock_divider)
-        result = spec.run(frame)
+        result = results.take(spec, frame)
         if metrics is not None:
             metrics.acc_phase_cycles.labels(pid, "compute").inc(
                 spec.latency_cycles * config.clock_divider)
@@ -141,7 +144,8 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
 
 def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
                                     dma: DmaEngine,
-                                    config: InvocationConfig):
+                                    config: InvocationConfig,
+                                    results: ResultTable):
     """Ping-pong variant of the wrapper: LOAD/COMPUTE/STORE overlap.
 
     Three concurrent stages connected by depth-2 FIFOs (the two PLM
@@ -191,7 +195,7 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
                 pid, "compute", f"compute f{index}", "acc.compute",
                 frame=index)
             yield env.timeout(cycles * config.clock_divider)
-            result = spec.run(frame)
+            result = results.take(spec, frame)
             if metrics is not None:
                 metrics.acc_phase_cycles.labels(pid, "compute").inc(
                     cycles * config.clock_divider)

@@ -27,7 +27,7 @@ class TestSpecValidation:
     def test_rejects_unknown_flow(self):
         with pytest.raises(ValueError):
             AcceleratorSpec(name="x", input_words=4, output_words=4,
-                            compute=lambda f: f, latency_cycles=1,
+                            compute=lambda x: x, latency_cycles=1,
                             interval_cycles=1, design_flow="chisel")
 
 
@@ -39,7 +39,7 @@ class TestRun:
 
     def test_checks_output_size(self):
         spec = make_spec(input_words=4, output_words=4,
-                         compute=lambda f: np.zeros(3))
+                         compute=lambda x: np.zeros((len(x), 3)))
         with pytest.raises(ValueError):
             spec.run(np.zeros(4))
 

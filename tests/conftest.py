@@ -14,13 +14,14 @@ def make_spec(name="toy", input_words=16, output_words=16,
     """A small, fast accelerator spec for SoC-level tests.
 
     The default kernel negates nothing — it adds 1 to every word, which
-    makes data corruption visible in assertions.
+    makes data corruption visible in assertions. Kernels are
+    row-batched: ``(n, input_words)`` in, ``(n, output_words)`` out;
+    a row is truncated, or repeated cyclically, to ``output_words``.
     """
     if compute is None:
-        def compute(frame):
-            out = np.asarray(frame) + 1.0
-            return out[:output_words] if len(out) >= output_words else \
-                np.resize(out, output_words)
+        def compute(frames):
+            out = np.asarray(frames) + 1.0
+            return out[:, np.arange(output_words) % input_words]
     return AcceleratorSpec(
         name=name,
         input_words=input_words,

@@ -233,3 +233,33 @@ class TestWatchdogAccounting:
         soc.env.run(until=done)
         assert box["value"] is None
         assert soc.cpu.reg_read_timeouts == 1
+
+
+class TestServePathDegradation:
+    def test_p2p_stream_killed_under_run_process_degrades_bit_exact(self):
+        """The serving loop's re-entrant path: a permanent hang kills a
+        p2p stream, ``run_process`` degrades in-process to a pipe
+        re-run with the failed device in software, and the outputs are
+        the software composition of the stages' kernels."""
+        from repro.accelerators import classifier_spec, night_vision_spec
+
+        nv, cl = night_vision_spec(), classifier_spec()
+        soc = make_soc([("nv0", nv), ("cl0", cl)])
+        FaultInjector(FaultPlan([
+            FaultSpec(kind="acc_hang", target="cl0", at_cycle=0,
+                      count=None)])).attach(soc)
+        runtime = EspRuntime(soc, recovery=policy(
+            watchdog_cycles=150_000, max_retries=0,
+            software_fallback=True))
+        frames = np.random.default_rng(5).uniform(0, 0.3, (4, 1024))
+        process = soc.env.process(runtime.executor.run_process(
+            chain("nvcl", ["nv0", "cl0"]), frames, "p2p"), name="serve")
+        result = soc.env.run(until=process)
+
+        expected = np.stack([cl.run(nv.run(frame)) for frame in frames])
+        assert result.degraded
+        assert runtime.executor.degraded_runs == 1
+        assert result.software_frames >= 4
+        np.testing.assert_array_equal(result.outputs.view(np.uint64),
+                                      expected.view(np.uint64))
+        assert len(soc.results) == 0 and soc.results.primed_plans == 0

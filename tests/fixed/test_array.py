@@ -75,6 +75,19 @@ class TestActivations:
         probs = fixed_softmax(rng.uniform(-2, 2, (8, 10)), fmt)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=0.01)
 
+    def test_softmax_rows_independent_of_batch_layout(self, rng):
+        """A batched dense layer hands softmax a transposed view; each
+        row must still get the bits it gets alone. A 64-bit format keeps
+        (almost) every float bit, so a last-bit difference in the row
+        sum would show."""
+        fmt = FixedFormat(width=64, integer_bits=2)
+        logits = rng.normal(0.0, 3.0, (10, 40)).T
+        batched = fixed_softmax(logits, fmt)
+        single = np.stack([fixed_softmax(row[None, :], fmt)[0]
+                           for row in logits])
+        np.testing.assert_array_equal(batched.view(np.uint64),
+                                      single.view(np.uint64))
+
 
 class TestPacking:
     def test_pack_four_16bit_words_per_flit(self):
