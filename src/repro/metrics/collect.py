@@ -7,8 +7,9 @@ reads, how many words memory has moved — already lives in the
 simulated hardware's own counters; re-recording it per event would
 duplicate work the sockets do anyway. Collectors bridge the two
 worlds: callables registered on the :class:`MetricsRegistry` that copy
-those counters into gauges whenever somebody scrapes (an exporter, the
-health monitor, the dashboard, a :class:`MetricsSampler` tick).
+those counters into gauges whenever somebody reads them (an exporter,
+the health monitor, the dashboard). A :class:`MetricsSampler` tick
+only triggers those readers and scrapes nothing itself.
 
 Collectors read simulation state and write registry series; they must
 never schedule events or advance the clock — they run outside the
@@ -47,25 +48,45 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
         "acc_status", "Live STATUS_REG value (0 idle, 1 running, "
         "2 done, 3 error)", ("device",))
     mem_read = registry.gauge(
-        "mem_words_read", "Words read from the memory tiles")
+        "mem_words_read", "Words read from the memory tiles").labels()
     mem_written = registry.gauge(
-        "mem_words_written", "Words written to the memory tiles")
+        "mem_words_written", "Words written to the memory tiles").labels()
+
+    # Series are resolved once, not per scrape. This is sound because
+    # the link set and ``soc.accelerators`` are fixed after build and
+    # link counters only grow: a link that has carried traffic stays
+    # exposed, so only the still-idle links need re-checking, and a
+    # scrape writes ``series.value`` for the live links and devices.
+    idle_links = list(soc.mesh.links.items())
+    live_links = []   # (channel, busy series, utilization series)
+    devices = [(tile, acc_busy.labels(name), acc_util.labels(name),
+                acc_status.labels(name))
+               for name, tile in soc.accelerators.items()]
+    memory = soc.memory_map
 
     def scrape(reg: MetricsRegistry) -> None:
-        for (src, dst, plane), link in soc.mesh.links.items():
-            if link.flits_carried == 0 \
-                    and link.channel.busy_cycles == 0:
-                continue   # keep untouched links out of the exposition
-            label = f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
-            link_busy.labels(label, plane).set(link.channel.busy_cycles)
-            link_util.labels(label, plane).set(
-                round(link.utilization(), 6))
-        for name, tile in soc.accelerators.items():
-            acc_busy.labels(name).set(tile.busy_cycles)
-            acc_util.labels(name).set(round(tile.utilization(), 6))
-            acc_status.labels(name).set(tile.status)
-        mem_read.set(soc.memory_map.words_read)
-        mem_written.set(soc.memory_map.words_written)
+        nonlocal idle_links
+        if idle_links:
+            still_idle = []
+            for key, link in idle_links:
+                channel = link.channel
+                if link.flits_carried == 0 and channel.busy_cycles == 0:
+                    still_idle.append((key, link))
+                    continue   # keep untouched links out of the exposition
+                src, dst, plane = key
+                label = f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
+                live_links.append((channel, link_busy.labels(label, plane),
+                                   link_util.labels(label, plane)))
+            idle_links = still_idle
+        for channel, busy, util in live_links:
+            busy.value = channel.busy_cycles
+            util.value = round(channel.utilization(), 6)
+        for tile, busy, util, status in devices:
+            busy.value = tile.busy_cycles
+            util.value = round(tile.utilization(), 6)
+            status.value = tile.status
+        mem_read.value = memory.words_read
+        mem_written.value = memory.words_written
 
     registry.register_collector(scrape)
 
@@ -75,17 +96,18 @@ def register_server_collectors(registry: MetricsRegistry,
     """Wire an :class:`InferenceServer`'s queue state into gauges."""
     peak = registry.gauge(
         "serve_queue_peak_depth",
-        "Deepest the request queue has been this run")
+        "Deepest the request queue has been this run").labels()
     tenant_depth = registry.gauge(
         "serve_tenant_queue_depth", "Requests queued per tenant",
         ("tenant",))
+    depth = registry.serve_queue_depth.labels()
+    queue = server.queue
 
     def scrape(reg: MetricsRegistry) -> None:
-        reg.serve_queue_depth.set(server.queue.depth)
-        peak.set(server.queue.peak_depth)
-        for tenant in server.queue.tenants:
-            tenant_depth.labels(tenant).set(
-                server.queue.tenant_depth(tenant))
+        depth.value = queue.depth
+        peak.value = queue.peak_depth
+        for tenant in queue.tenants:
+            tenant_depth.labels(tenant).value = queue.tenant_depth(tenant)
 
     registry.register_collector(scrape)
 

@@ -216,13 +216,15 @@ class HealthMonitor:
 
 # -- rule factories ---------------------------------------------------------
 
-def _gauge_series(registry: MetricsRegistry, name: str):
-    """Series of a gauge family, or [] when it never got registered."""
+def _gauge_series(registry: MetricsRegistry, name: str, where):
+    """Series of a gauge family that ``where`` accepts, sorted; [] when
+    the family never got registered. The filter runs before the sort,
+    so an evaluation sorts only the few series that matter."""
     try:
         family = registry.get(name)
     except KeyError:
         return []
-    return family.series()
+    return family.series(where)
 
 
 def queue_saturation_rule(max_depth: int, fraction: float = 0.8,
@@ -333,10 +335,10 @@ def link_congestion_rule(threshold: float = 0.9,
 
     def check(registry: MetricsRegistry, now: int) -> Optional[str]:
         worst = None
-        for values, series in _gauge_series(registry,
-                                            "noc_link_utilization"):
-            if series.value > threshold and (
-                    worst is None or series.value > worst[1]):
+        for values, series in _gauge_series(
+                registry, "noc_link_utilization",
+                lambda series: series.value > threshold):
+            if worst is None or series.value > worst[1]:
                 worst = (values, series.value)
         if worst is not None:
             (link, plane), utilization = worst[0], worst[1]
@@ -363,9 +365,9 @@ def stalled_devices(registry: MetricsRegistry, now: int,
     from ..soc.registers import STATUS_RUNNING
 
     stalled = []
-    for values, series in _gauge_series(registry, "acc_status"):
-        if series.value != STATUS_RUNNING:
-            continue
+    for values, series in _gauge_series(
+            registry, "acc_status",
+            lambda series: series.value == STATUS_RUNNING):
         device = values[0]
         last = registry.acc_last_progress.labels(device).value
         quiet = now - last

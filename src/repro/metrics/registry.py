@@ -207,10 +207,18 @@ class MetricFamily:
             series = self._series[values] = self._make_series()
         return series
 
-    def series(self) -> List[Tuple[Tuple[str, ...], object]]:
-        """Every (label values, series) pair, in stable sorted order."""
-        return sorted(self._series.items(),
-                      key=lambda item: tuple(map(str, item[0])))
+    def series(self, where: Optional[Callable[[object], bool]] = None
+               ) -> List[Tuple[Tuple[str, ...], object]]:
+        """Every (label values, series) pair, in stable sorted order.
+
+        ``where`` keeps only the pairs whose series it accepts, and is
+        applied before the sort: a reader after the few series over a
+        threshold sorts those few, not the whole family.
+        """
+        items = self._series.items()
+        if where is not None:
+            items = [item for item in items if where(item[1])]
+        return sorted(items, key=lambda item: tuple(map(str, item[0])))
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} {self.name!r} "
@@ -511,13 +519,17 @@ class MetricsRegistry:
 
 
 class MetricsSampler:
-    """Opt-in periodic scrape loop running *inside* the simulation.
+    """Opt-in periodic clock running *inside* the simulation.
 
     Recording is passive, so live views (the dashboard, SLO evaluation
-    during a run) need something to trigger scrapes while the event
-    loop is owned by a workload. The sampler is that trigger: a
-    simulation process that calls the given callbacks every
-    ``interval`` cycles.
+    during a run) need something to trigger them while the event loop
+    is owned by a workload. The sampler is that trigger: a simulation
+    process that calls the given callbacks every ``interval`` cycles.
+    It scrapes nothing itself. Every reader of collector-backed gauges
+    refreshes them first (:meth:`HealthMonitor.evaluate`,
+    :meth:`MetricsRegistry.collect` and ``snapshot``, ``to_prometheus``,
+    ``render_dashboard``), so one tick whose callback evaluates a
+    monitor costs one scrape.
 
     Determinism note: the sampler schedules its own timeout events, so
     it adds to ``events_processed`` — but pure timeouts cannot perturb
@@ -558,7 +570,6 @@ class MetricsSampler:
             yield env.timeout(self.interval)
             if self._stopped:
                 return
-            self.registry.run_collectors()
             for callback in self.callbacks:
                 callback(self.registry)
             self.samples_taken += 1

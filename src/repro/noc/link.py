@@ -26,6 +26,8 @@ class Link:
         self.src = src
         self.dst = dst
         self.plane = plane
+        #: Trace track name of this link's hold spans, built once.
+        self.track = f"{plane} {src}->{dst}"
         self.flit_bits = flit_bits
         self.channel = Resource(env, slots=1,
                                 name=f"link{src}->{dst}@{plane}",

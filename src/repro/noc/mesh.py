@@ -200,8 +200,7 @@ class Mesh2D:
                 yield link.channel.acquire()
                 if tracer is not None:
                     held_sids.append(tracer.begin(
-                        "noc", f"{packet.plane} {link.src}->{link.dst}",
-                        packet.kind.name, "noc.link",
+                        "noc", link.track, packet.kind.name, "noc.link",
                         flits=packet.size_flits))
                 yield Timeout(env, router_latency)
             # Head reached the destination; the body drains behind it.

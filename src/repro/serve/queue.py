@@ -31,6 +31,12 @@ class RequestQueue:
         self.max_depth = max_depth
         self._queues: Dict[str, Deque[InferenceRequest]] = {}
         self._expected_words: Dict[str, int] = {}
+        # Running totals, kept by submit/pop/drain (the only paths that
+        # change the deques): requests queued over all tenants, and
+        # frames queued per tenant. The router reads both on every
+        # arrival, so they must not cost a walk over the backlog.
+        self._depth = 0
+        self._queued_frames: Dict[str, int] = {}
         #: Called with the request after a successful admit (the server
         #: hooks this to wake the tenant's batch loop).
         self.on_admit: Optional[Callable[[InferenceRequest], None]] = None
@@ -47,6 +53,7 @@ class RequestQueue:
         if input_words < 1:
             raise ValueError("input_words must be >= 1")
         self._queues[tenant] = deque()
+        self._queued_frames[tenant] = 0
         self._expected_words[tenant] = input_words
 
     @property
@@ -71,7 +78,7 @@ class RequestQueue:
     @property
     def depth(self) -> int:
         """Requests currently queued, across all tenants."""
-        return sum(len(q) for q in self._queues.values())
+        return self._depth
 
     def tenant_depth(self, tenant: str) -> int:
         return len(self._queues[tenant])
@@ -81,11 +88,10 @@ class RequestQueue:
 
         Frames are what the hardware will actually run, so a router
         comparing backlogs sees two one-frame requests as lighter than
-        one eight-frame request. O(queued requests) — introspection,
-        not a hot path.
+        one eight-frame request. O(1): the load-aware routers call it
+        for every tenant of every instance on every arrival.
         """
-        queue = self._queues[tenant]
-        return len(queue), sum(r.n_frames for r in queue)
+        return len(self._queues[tenant]), self._queued_frames[tenant]
 
     # -- admission ----------------------------------------------------------
 
@@ -109,15 +115,17 @@ class RequestQueue:
                 request, REJECT_BAD_SHAPE, now,
                 f"frames have {request.frames.shape[1]} words, pipeline "
                 f"expects {expected}")
-        if self.depth >= self.max_depth:
+        if self._depth >= self.max_depth:
             return self._reject(
                 request, REJECT_QUEUE_FULL, now,
-                f"queue depth {self.depth} at max_depth "
+                f"queue depth {self._depth} at max_depth "
                 f"{self.max_depth}")
         request.submitted_at = now
         queue.append(request)
+        self._depth += 1
+        self._queued_frames[request.tenant] += request.n_frames
         self.admitted += 1
-        self.peak_depth = max(self.peak_depth, self.depth)
+        self.peak_depth = max(self.peak_depth, self._depth)
         if self.on_admit is not None:
             self.on_admit(request)
         return None
@@ -135,7 +143,12 @@ class RequestQueue:
     def pop(self, tenant: str) -> Optional[InferenceRequest]:
         """Remove and return the tenant's oldest request, if any."""
         queue = self._queues[tenant]
-        return queue.popleft() if queue else None
+        if not queue:
+            return None
+        request = queue.popleft()
+        self._depth -= 1
+        self._queued_frames[tenant] -= request.n_frames
+        return request
 
     def peek(self, tenant: str) -> Optional[InferenceRequest]:
         queue = self._queues[tenant]
@@ -159,4 +172,6 @@ class RequestQueue:
                 break
             out.append(queue.popleft())
             total += head.n_frames
+        self._depth -= len(out)
+        self._queued_frames[tenant] -= total
         return out

@@ -208,7 +208,8 @@ class Tracer:
             span.args.update(args)
         self.spans.append(span)
         self._ends.append(span.end)
-        if self.capacity is not None:
+        capacity = self.capacity
+        if capacity is not None and len(self.spans) > 2 * capacity:
             self._compact_spans()
         return span
 
@@ -227,7 +228,8 @@ class Tracer:
             # spans_between falls back to the linear scan.
             self._ends_sorted = False
         self._ends.append(end)
-        if self.capacity is not None:
+        capacity = self.capacity
+        if capacity is not None and len(self.spans) > 2 * capacity:
             self._compact_spans()
         return span
 
@@ -254,16 +256,17 @@ class Tracer:
             self.dropped_counters += drop
 
     def _compact_spans(self) -> None:
-        if len(self.spans) > 2 * self.capacity:
-            drop = len(self.spans) - self.capacity
-            del self.spans[:drop]
-            del self._ends[:drop]
-            self.dropped_spans += drop
-            if not self._ends_sorted:
-                # Cheap re-check: eviction may have dropped the
-                # out-of-order prefix, restoring the fast path.
-                self._ends_sorted = all(
-                    a <= b for a, b in zip(self._ends, self._ends[1:]))
+        """Evict down to ``capacity`` spans (callers check that the
+        store has grown past twice that, so the check costs no call)."""
+        drop = len(self.spans) - self.capacity
+        del self.spans[:drop]
+        del self._ends[:drop]
+        self.dropped_spans += drop
+        if not self._ends_sorted:
+            # Cheap re-check: eviction may have dropped the
+            # out-of-order prefix, restoring the fast path.
+            self._ends_sorted = all(
+                a <= b for a, b in zip(self._ends, self._ends[1:]))
 
     @property
     def dropped(self) -> int:

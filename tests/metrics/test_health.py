@@ -23,6 +23,7 @@ from repro.metrics import (
     accelerator_stall_rule,
     default_rules,
     instrument_server,
+    latency_burn_rule,
     latency_slo_rule,
     link_congestion_rule,
     queue_saturation_rule,
@@ -264,6 +265,35 @@ class TestRuleFactories:
         for _ in range(10):
             series.observe(100)
         assert rule.check(registry, 0) is None
+
+    def test_latency_burn_fires_holds_then_resolves(self):
+        """The burn is judged per window of new completions: a slow
+        window fires, a window with too few completions holds the
+        verdict, a fast window resolves it."""
+        registry = fresh_registry()
+        rule = latency_burn_rule("t", target_cycles=1024,
+                                 error_budget=0.25, min_requests=2)
+        monitor = HealthMonitor(registry, [rule])
+        series = registry.serve_request_cycles.labels("t")
+
+        for _ in range(3):                  # slow window
+            series.observe(8192)
+        series.observe(100)
+        assert [a.state for a in monitor.evaluate()] == [STATE_FIRING]
+        assert ("75.0% of last 4 requests over 1024 cycles"
+                in monitor.active["latency-burn:t"].detail)
+
+        series.observe(100)                 # too few to judge: hold
+        assert monitor.evaluate() == []
+        assert "latency-burn:t" in monitor.active
+
+        for _ in range(4):                  # fast window
+            series.observe(100)
+        assert [a.state for a in monitor.evaluate()] == [STATE_RESOLVED]
+        assert monitor.status() == "healthy"
+        # A quiet tenant stays clean.
+        assert monitor.evaluate() == []
+        assert len(monitor.history) == 1
 
     def test_link_congestion_silent_without_collectors(self):
         registry = fresh_registry()

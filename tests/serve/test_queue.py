@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve import (
     InferenceRequest,
@@ -156,3 +157,38 @@ class TestResetStats:
         queue.submit(req(), now=1)
         assert queue.admitted == 1
         assert queue.peak_depth == 2
+
+
+#: One step of a random queue history: submit ``n`` frames for a
+#: tenant, pop one request, or drain under a frame bound (None: all).
+_STEPS = st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(["nv", "cl"]),
+              st.integers(1, 5)),
+    st.tuples(st.just("pop"), st.sampled_from(["nv", "cl"]),
+              st.none()),
+    st.tuples(st.just("drain"), st.sampled_from(["nv", "cl"]),
+              st.one_of(st.none(), st.integers(1, 8))),
+)
+
+
+class TestRunningTotals:
+    @given(steps=st.lists(_STEPS, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_depth_and_backlog_match_a_recount(self, steps):
+        """``depth`` and ``tenant_backlog`` are kept as running totals;
+        after every step they equal a recount from the deques."""
+        queue = registered_queue(max_depth=6)
+        words = {"nv": 8, "cl": 4}
+        for op, tenant, arg in steps:
+            if op == "submit":
+                queue.submit(req(tenant, n_frames=arg,
+                                 words=words[tenant]), now=0)
+            elif op == "pop":
+                queue.pop(tenant)
+            else:
+                queue.drain(tenant, max_frames=arg)
+            deques = queue._queues
+            assert queue.depth == sum(len(q) for q in deques.values())
+            for name, backlog in deques.items():
+                assert queue.tenant_backlog(name) == (
+                    len(backlog), sum(r.n_frames for r in backlog))
