@@ -19,6 +19,7 @@ from .mesh import (
     IO_PLANE,
     Mesh2D,
     NocPlane,
+    PacketTransfer,
 )
 from .stats import NocReport, collect_report
 from .analysis import (
@@ -49,6 +50,7 @@ __all__ = [
     "NocPlane",
     "NocReport",
     "Packet",
+    "PacketTransfer",
     "average_distance",
     "bisection_bandwidth_flits",
     "bisection_links",

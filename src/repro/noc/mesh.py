@@ -20,7 +20,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim import Environment, Fifo, Process, Timeout
+from ..sim import Environment, Event, Fifo, Timeout
+from ..sim.kernel import PENDING
 from .link import Link
 from .packet import Coord, MessageKind, Packet
 from .routing import route_hops_cached, validate_coord
@@ -107,19 +108,14 @@ class Mesh2D:
                     self._inboxes[((x, y), plane)] = Fifo(
                         env, name=f"inbox{(x, y)}@{plane}")
 
-        # Hop table: (src, dst, plane) -> the Link objects of the XY
-        # route, resolved once (lazily, on first traffic) instead of a
-        # route computation plus per-hop dict lookups on every packet.
-        # Sound because XY routes and the link set are both immutable
-        # for the lifetime of the mesh (see repro.noc.routing).
-        self._route_links: Dict[Tuple[Coord, Coord, str],
-                                Tuple[Link, ...]] = {}
-
-        # Endpoint validation cache: (coord, plane) pairs already
-        # checked. The mesh is immutable, so a pair that validated once
-        # validates forever — send() then costs two set probes instead
-        # of re-running the bounds/plane checks per packet.
-        self._checked: set = set()
+        # Path table: (src, dst, plane) -> (the Link objects of the XY
+        # route, the destination's ejection queue), resolved and
+        # validated on the first packet of the triple. Sound because
+        # XY routes, the link set and the inboxes are all immutable for
+        # the lifetime of the mesh (see repro.noc.routing), so send()
+        # costs one dict probe per packet.
+        self._paths: Dict[Tuple[Coord, Coord, str],
+                          Tuple[Tuple[Link, ...], Fifo]] = {}
 
         # Aggregate statistics.
         self.packets_delivered = 0
@@ -148,116 +144,34 @@ class Mesh2D:
         return self.planes[plane].flit_bits
 
     def _check(self, coord: Coord, plane: str) -> None:
-        if (coord, plane) in self._checked:
-            return
         validate_coord(coord, self.cols, self.rows)
         if plane not in self.planes:
             raise ValueError(
                 f"unknown plane {plane!r}; options: {sorted(self.planes)}")
-        self._checked.add((coord, plane))
-
-    def route_links(self, src: Coord, dst: Coord,
-                    plane: str) -> Tuple[Link, ...]:
-        """The links of the XY route from ``src`` to ``dst`` on ``plane``.
-
-        Memoized per mesh; the tuple is shared, callers must not
-        mutate link state except through the link API.
-        """
-        key = (src, dst, plane)
-        links = self._route_links.get(key)
-        if links is None:
-            links = tuple(self.links[(a, b, plane)]
-                          for a, b in route_hops_cached(src, dst))
-            self._route_links[key] = links
-        return links
 
     # -- transmission -------------------------------------------------------
 
-    def send(self, packet: Packet) -> Process:
-        """Inject ``packet``; the process completes at delivery."""
-        self._check(packet.src, packet.plane)
-        self._check(packet.dst, packet.plane)
-        return self.env.process(self._transmit(packet))
+    def send(self, packet: Packet) -> "PacketTransfer":
+        """Inject ``packet``; the returned event triggers at delivery.
 
-    def _transmit(self, packet: Packet):
-        packet.injected_at = self.env.now
-        tracer = self.env.tracer
-        sid = None
-        if tracer is not None:
-            sid = tracer.begin(
-                "noc", packet.plane, packet.kind.name, "noc.packet",
-                src=str(packet.src), dst=str(packet.dst),
-                flits=packet.size_flits)
-        if packet.src == packet.dst:
-            # Local ejection: no links, one router traversal.
-            yield Timeout(self.env, self.router_latency)
-        else:
-            env = self.env
-            router_latency = self.router_latency
-            route = self.route_links(packet.src, packet.dst, packet.plane)
-            held_sids: List[int] = []
-            for link in route:
-                yield link.channel.acquire()
-                if tracer is not None:
-                    held_sids.append(tracer.begin(
-                        "noc", link.track, packet.kind.name, "noc.link",
-                        flits=packet.size_flits))
-                yield Timeout(env, router_latency)
-            # Head reached the destination; the body drains behind it.
-            # The hold is a single multi-cycle timeout per link set — the
-            # whole serialized body in one event, never one event per
-            # flit (see docs/performance.md).
-            yield Timeout(env, packet.size_flits)
-            size_flits = packet.size_flits
-            for index, link in enumerate(route):
-                link.record(size_flits)
-                link.channel.release()
-                if tracer is not None:
-                    tracer.end(held_sids[index])
-            self.flit_hops += size_flits * len(route)
-            if self.env.metrics is not None:
-                self.env.metrics.noc_flits.labels(packet.plane).inc(
-                    size_flits * len(route))
-        if self.fault_injector is not None:
-            # Delivery faults strike after the wormhole released every
-            # link, so a lost packet never leaves a stuck channel: the
-            # loss is visible only as a missing ejection (and a
-            # watchdog timeout at whoever was waiting for it).
-            action = self.fault_injector.on_deliver(packet, self.env.now)
-            if action == "drop":
-                self.packets_dropped += 1
-                if self.env.metrics is not None:
-                    self.env.metrics.noc_dropped.labels(
-                        packet.plane).inc()
-                if sid is not None:
-                    tracer.end(sid, outcome="dropped")
-                if packet.on_lost is not None:
-                    packet.on_lost()
-                return packet
-            if action == "corrupt":
-                # Link-level CRC catches the mangled payload at
-                # ejection and discards it — corruption is detected,
-                # never silently delivered.
-                self.packets_corrupted += 1
-                if self.env.metrics is not None:
-                    self.env.metrics.noc_corrupted.labels(
-                        packet.plane).inc()
-                if sid is not None:
-                    tracer.end(sid, outcome="corrupted")
-                if packet.on_lost is not None:
-                    packet.on_lost()
-                return packet
-        packet.delivered_at = self.env.now
-        self.packets_delivered += 1
-        if self.env.metrics is not None:
-            self.env.metrics.noc_packets.labels(packet.plane).inc()
-        self.total_latency += packet.latency
-        self.delivered_by_kind[packet.kind] = (
-            self.delivered_by_kind.get(packet.kind, 0) + 1)
-        if sid is not None:
-            tracer.end(sid, outcome="delivered")
-        yield self._inboxes[(packet.dst, packet.plane)].put(packet)
-        return packet
+        Its value is the packet. The first packet between a ``(src,
+        dst, plane)`` triple validates both endpoints and resolves the
+        route and the ejection queue; later ones reuse that path.
+        """
+        path = self._paths.get((packet.src, packet.dst, packet.plane))
+        if path is None:
+            path = self._resolve(packet.src, packet.dst, packet.plane)
+        return PacketTransfer(self, packet, path)
+
+    def _resolve(self, src: Coord, dst: Coord,
+                 plane: str) -> Tuple[Tuple[Link, ...], Fifo]:
+        self._check(src, plane)
+        self._check(dst, plane)
+        route = tuple(self.links[(a, b, plane)]
+                      for a, b in route_hops_cached(src, dst))
+        path = (route, self._inboxes[(dst, plane)])
+        self._paths[(src, dst, plane)] = path
+        return path
 
     # -- vectorized transport (wide-mesh sweeps) ----------------------------
 
@@ -272,8 +186,9 @@ class Mesh2D:
         ``size_flits`` flits takes on an otherwise idle mesh: one
         router traversal for local ejection, else the wormhole formula
         ``hops * router_latency + size_flits`` (XY hop count =
-        Manhattan distance). This is the closed form of
-        :meth:`_transmit` with every ``acquire`` immediate — validated
+        Manhattan distance). This is the closed form of a
+        :class:`PacketTransfer` whose every link acquire is granted
+        at once — validated
         against the event-driven path in
         ``tests/noc/test_vectorized.py`` — and exists for wide-mesh
         design-space sweeps where simulating millions of uncontended
@@ -322,3 +237,203 @@ class Mesh2D:
         for link in self.links.values():
             out[link.plane] += link.flits_carried
         return out
+
+
+# Stages of a PacketTransfer, named by the event each one waits on.
+_START = 0    # the bootstrap event, dispatched at the injection cycle
+_GRANT = 1    # the acquire of route link ``_hop``
+_ROUTER = 2   # the router timeout after link ``_hop``
+_DRAIN = 3    # the body drain (or the local router traversal)
+_EJECT = 4    # the put into the destination's ejection queue
+
+
+class PacketTransfer(Event):
+    """One packet's wormhole transfer; also the event of its delivery.
+
+    The transfer is driven by kernel callbacks instead of a generator
+    process: it is itself the callback of each event it waits on and
+    advances one stage per dispatch — bootstrap; per hop, link
+    acquire then router timeout; body drain; ejection put; completion.
+    It schedules the same events in the same order as a process body
+    doing the same work would, so cycle counts, event counts and
+    dispatch order are those of the per-packet ``_transmit`` process
+    it replaces (``tests/noc/test_transfer.py`` pins this against that
+    process).
+
+    For deadlock diagnosis it registers with the environment like a
+    process: ``name``, ``is_alive`` and ``target`` let
+    :meth:`Environment.blocked_processes` and :class:`DeadlockError`
+    name a packet stuck on a busy link or a full inbox. Its lifetime
+    is recorded as a ``sim.process`` span named ``_transmit``.
+    """
+
+    __slots__ = ("mesh", "packet", "_route", "_inbox", "_stage", "_hop",
+                 "_target", "_created_at", "_tracer", "_sid",
+                 "_held_sids")
+
+    #: The name deadlock reports and ``sim.process`` spans use.
+    name = "_transmit"
+
+    def __init__(self, mesh: Mesh2D, packet: Packet,
+                 path: Tuple[Tuple[Link, ...], Fifo]) -> None:
+        env = mesh.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.mesh = mesh
+        self.packet = packet
+        self._route, self._inbox = path
+        self._stage = _START
+        self._target: Optional[Event] = None
+        self._created_at = env.now
+        env._register_process(self)
+        # Bootstrap: the first stage runs at the current cycle.
+        start = Event(env)
+        start._value = None
+        start.callbacks.append(self)
+        env._ready.append(start)
+
+    @property
+    def is_alive(self) -> bool:
+        return self._value is PENDING
+
+    @property
+    def target(self) -> Optional[Event]:
+        """The event the transfer is waiting on (if any)."""
+        return self._target
+
+    def __call__(self, event: Event) -> None:
+        """Run the stage ``event`` ends; the kernel's callback."""
+        try:
+            if not event._ok:
+                event.__sim_defused__ = True  # type: ignore[attr-defined]
+                raise event._value
+            stage = self._stage
+            if stage == _GRANT:
+                # The head holds link ``_hop``: cross its router.
+                if self._tracer is not None:
+                    packet = self.packet
+                    self._held_sids.append(self._tracer.begin(
+                        "noc", self._route[self._hop].track,
+                        packet.kind.name, "noc.link",
+                        flits=packet.size_flits))
+                self._wait(Timeout(self.env, self.mesh.router_latency),
+                           _ROUTER)
+            elif stage == _ROUTER:
+                hop = self._hop + 1
+                if hop < len(self._route):
+                    self._hop = hop
+                    self._wait(self._route[hop].channel.acquire(), _GRANT)
+                else:
+                    # Head reached the destination; the body drains
+                    # behind it in one multi-cycle timeout, never one
+                    # event per flit (see docs/performance.md).
+                    self._wait(Timeout(self.env, self.packet.size_flits),
+                               _DRAIN)
+            elif stage == _START:
+                self._inject()
+            elif stage == _DRAIN:
+                self._eject()
+            else:
+                self._complete()
+        except Exception as exc:
+            # The transfer dies as a process would: waiters observe the
+            # failure through this event, and unless one of them takes
+            # it, it is raised again from the dispatch loop.
+            tracer = self.env.tracer
+            if tracer is not None:
+                tracer.complete(
+                    "sim", "processes", self.name, "sim.process",
+                    self._created_at, self.env.now, outcome="failed",
+                    error=type(exc).__name__)
+            self.fail(exc)
+
+    def _wait(self, event: Event, stage: int) -> None:
+        self._stage = stage
+        self._target = event
+        event.callbacks.append(self)
+
+    def _inject(self) -> None:
+        env = self.env
+        packet = self.packet
+        packet.injected_at = env.now
+        # Read once: a tracer attached mid-flight sees only the packets
+        # injected after it.
+        tracer = self._tracer = env.tracer
+        if tracer is not None:
+            self._sid = tracer.begin(
+                "noc", packet.plane, packet.kind.name, "noc.packet",
+                src=str(packet.src), dst=str(packet.dst),
+                flits=packet.size_flits)
+            self._held_sids = []
+        if self._route:
+            self._hop = 0
+            self._wait(self._route[0].channel.acquire(), _GRANT)
+        else:
+            # Local ejection: no links, one router traversal.
+            self._wait(Timeout(env, self.mesh.router_latency), _DRAIN)
+
+    def _eject(self) -> None:
+        env = self.env
+        mesh = self.mesh
+        packet = self.packet
+        tracer = self._tracer
+        route = self._route
+        if route:
+            size_flits = packet.size_flits
+            for index, link in enumerate(route):
+                link.record(size_flits)
+                link.channel.release()
+                if tracer is not None:
+                    tracer.end(self._held_sids[index])
+            mesh.flit_hops += size_flits * len(route)
+            if env.metrics is not None:
+                env.metrics.noc_flits.labels(packet.plane).inc(
+                    size_flits * len(route))
+        if mesh.fault_injector is not None:
+            # Delivery faults strike after the wormhole released every
+            # link, so a lost packet never leaves a stuck channel: the
+            # loss is visible only as a missing ejection (and a
+            # watchdog timeout at whoever was waiting for it).
+            action = mesh.fault_injector.on_deliver(packet, env.now)
+            if action == "drop":
+                mesh.packets_dropped += 1
+                if env.metrics is not None:
+                    env.metrics.noc_dropped.labels(packet.plane).inc()
+                self._lose("dropped")
+                return
+            if action == "corrupt":
+                # Link-level CRC catches the mangled payload at
+                # ejection and discards it — corruption is detected,
+                # never silently delivered.
+                mesh.packets_corrupted += 1
+                if env.metrics is not None:
+                    env.metrics.noc_corrupted.labels(packet.plane).inc()
+                self._lose("corrupted")
+                return
+        packet.delivered_at = env.now
+        mesh.packets_delivered += 1
+        if env.metrics is not None:
+            env.metrics.noc_packets.labels(packet.plane).inc()
+        mesh.total_latency += packet.latency
+        mesh.delivered_by_kind[packet.kind] = (
+            mesh.delivered_by_kind.get(packet.kind, 0) + 1)
+        if tracer is not None:
+            tracer.end(self._sid, outcome="delivered")
+        self._wait(self._inbox.put(packet), _EJECT)
+
+    def _lose(self, outcome: str) -> None:
+        if self._tracer is not None:
+            self._tracer.end(self._sid, outcome=outcome)
+        if self.packet.on_lost is not None:
+            self.packet.on_lost()
+        self._complete()
+
+    def _complete(self) -> None:
+        env = self.env
+        if env.tracer is not None:
+            env.tracer.complete(
+                "sim", "processes", self.name, "sim.process",
+                self._created_at, env.now, outcome="done")
+        self.succeed(self.packet)

@@ -34,6 +34,11 @@ class MessageKind(Enum):
     COH_RSP = "coh_rsp"        # directory grant/data to the requester
     COH_WB = "coh_wb"          # dirty-eviction writeback (fire-and-forget)
 
+    # Members are singletons, so identity hashing is exact, and it runs
+    # in C: Enum's own __hash__ is a Python function, and the mesh
+    # hashes a kind for every delivered packet (delivered_by_kind).
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Packet:

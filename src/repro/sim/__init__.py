@@ -12,15 +12,13 @@ from .kernel import (
     SimulationError,
     Timeout,
 )
-from .channels import (Barrier, Counter, Fifo, ProgressCounter, Resource,
-                       Semaphore)
+from .channels import Barrier, Fifo, ProgressCounter, Resource, Semaphore
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Barrier",
     "Condition",
-    "Counter",
     "DeadlockError",
     "Environment",
     "Event",

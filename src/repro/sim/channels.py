@@ -228,7 +228,16 @@ class Resource:
         """Request a slot; the event triggers when the slot is granted."""
         event = Event(self.env)
         if self._in_use < self.slots:
-            self._grant(event)
+            # Free slot: the _grant body inline, as this runs once per
+            # NoC hop.
+            if self._in_use == 0:
+                self._busy_since = self.env.now
+            self._in_use += 1
+            self.total_acquisitions += 1
+            if self.record_history:
+                self.history.append((self.env.now, self._in_use))
+            event._value = None
+            self.env._ready.append(event)
         else:
             event.wait_reason = f"acquire of busy resource {self.name!r}"
             self._waiters.append(event)
@@ -336,10 +345,8 @@ class ProgressCounter:
     (pthread-condition style): ``wait_until(n)`` triggers once the
     counter reaches ``n``.
 
-    Formerly named ``Counter``; renamed so the *synchronization
-    primitive* no longer collides with the metrics/tracer counter
-    concepts (a :class:`repro.metrics.Counter` is pure telemetry and
-    never wakes anyone). The old name remains as a deprecated alias.
+    Not to be confused with :class:`repro.metrics.Counter`, which is
+    pure telemetry and never wakes anyone.
     """
 
     def __init__(self, env: Environment, value: int = 0,
@@ -375,11 +382,6 @@ class ProgressCounter:
     def waiters(self) -> tuple:
         """(threshold, event) pairs still below the counter value."""
         return tuple(self._waiters)
-
-
-#: Deprecated alias for :class:`ProgressCounter` (the pre-metrics
-#: name). New code should say ``ProgressCounter``.
-Counter = ProgressCounter
 
 
 class Barrier:

@@ -1,8 +1,9 @@
 """Discrete-event simulation kernel.
 
-This is the substrate under the whole ESP4ML reproduction: the NoC, the
-tile sockets, the DMA engines and the software runtime all run as
-coroutine processes scheduled by an :class:`Environment`.
+This is the substrate under the whole ESP4ML reproduction: the tile
+sockets, the DMA engines and the software runtime run as coroutine
+processes scheduled by an :class:`Environment`, and each NoC packet is
+a callback-driven event (:class:`repro.noc.mesh.PacketTransfer`).
 
 The design follows the classic event-queue/coroutine pattern (as in
 SimPy): a *process* is a generator that yields :class:`Event` objects;
@@ -252,7 +253,7 @@ class Process(Event):
         # Bootstrap: resume once at the current time.
         init = Event(env)
         init._value = None
-        env._schedule(init)
+        env._ready.append(init)
         init.callbacks.append(self._resume_cb)
 
     @property
@@ -301,7 +302,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         env = self.env
         send = self._send
-        env._active_proc = self
         while True:
             try:
                 if event._ok:
@@ -313,7 +313,6 @@ class Process(Event):
                     event.__sim_defused__ = True  # type: ignore[attr-defined]
                     target = self._throw(event._value)
             except StopIteration as stop:
-                env._active_proc = None
                 if env.tracer is not None:
                     env.tracer.complete(
                         "sim", "processes", self.name, "sim.process",
@@ -324,7 +323,6 @@ class Process(Event):
                 # The process dies; waiters (if any) observe the failure
                 # through this process event. If nobody defuses it, the
                 # exception surfaces from the dispatch loop.
-                env._active_proc = None
                 if env.tracer is not None:
                     env.tracer.complete(
                         "sim", "processes", self.name, "sim.process",
@@ -334,7 +332,6 @@ class Process(Event):
                 return
 
             if not isinstance(target, Event):
-                env._active_proc = None
                 raise SimulationError(
                     f"process yielded a non-event: {target!r}")
             if target.callbacks is None:
@@ -343,7 +340,6 @@ class Process(Event):
                 continue
             self._target = target
             target.callbacks.append(self._resume_cb)
-            env._active_proc = None
             return
 
 
@@ -421,9 +417,10 @@ class Environment:
 
     Subclasses that need different storage (the reference single-heap
     oracle in the equivalence tests) override ``_schedule``, ``peek``,
-    ``step`` and ``run``; ``Event.succeed`` additionally appends to
-    ``_ready`` directly, so such subclasses substitute ``_ready`` with
-    a shim object exposing ``append``/``__bool__``/``__len__``.
+    ``step`` and ``run``; ``Event.succeed`` and process bootstraps
+    additionally append to ``_ready`` directly, so such subclasses
+    substitute ``_ready`` with a shim object exposing
+    ``append``/``__bool__``/``__len__``.
     """
 
     def __init__(self, initial_time: int = 0) -> None:
@@ -438,7 +435,6 @@ class Environment:
         #: Min-heap of the distinct occupied cycles (one entry per
         #: bucket, pushed at bucket creation).
         self._times: List[int] = []
-        self._active_proc: Optional[Process] = None
         self._processes: List[Process] = []
         self._prune_at = 64
         #: Events dispatched so far (one increment per event) — the
@@ -458,10 +454,6 @@ class Environment:
     def now(self) -> int:
         """Current simulated time (clock cycles)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_proc
 
     # -- event factories -------------------------------------------------
 
@@ -484,6 +476,12 @@ class Environment:
     # -- process bookkeeping (deadlock diagnosis) ------------------------
 
     def _register_process(self, process: "Process") -> None:
+        """Track ``process`` for deadlock diagnosis.
+
+        Anything with ``name``, ``is_alive`` and ``target`` may
+        register: besides :class:`Process`, the NoC's callback-driven
+        packet transfers do, so a packet stuck on a link is reported.
+        """
         self._processes.append(process)
         if len(self._processes) > self._prune_at:
             self._processes = [p for p in self._processes if p.is_alive]

@@ -50,6 +50,49 @@ class TestKernelDeadlockReport:
         assert any("the-gate" in reason for reason in reasons)
 
 
+class TestBlockedPacket:
+    """A NoC packet has no process of its own, yet a packet stuck on a
+    link or a full ejection queue is still named in the report."""
+
+    def test_packets_on_held_link_and_full_inbox_are_reported(self):
+        from repro.noc import DMA_REQUEST_PLANE, Mesh2D, MessageKind, \
+            Packet
+
+        env = Environment()
+        mesh = Mesh2D(env, 3, 2)
+        plane = DMA_REQUEST_PLANE
+        link = mesh.links[((0, 0), (1, 0), plane)]
+
+        def squatter():
+            yield link.channel.acquire()   # never released
+
+        inbox = mesh.inbox((1, 1), plane)
+        inbox.capacity = 1
+        assert inbox.try_put("occupant")   # nobody ever gets it
+
+        def packet(src, dst):
+            return Packet(src=src, dst=dst, plane=plane,
+                          kind=MessageKind.DMA_REQ, payload_flits=4)
+
+        env.process(squatter(), name="squatter")
+        behind_link = mesh.send(packet((0, 0), (2, 0)))
+        on_inbox = mesh.send(packet((1, 0), (1, 1)))
+
+        with pytest.raises(DeadlockError) as exc_info:
+            env.run(until=env.event())
+        blocked = dict(env.blocked_processes())
+        assert behind_link in blocked and on_inbox in blocked
+        link_reason = f"acquire of busy resource {link.channel.name!r}"
+        inbox_reason = f"put on full fifo {inbox.name!r}"
+        assert blocked[behind_link].wait_reason == link_reason
+        assert blocked[on_inbox].wait_reason == inbox_reason
+        message = str(exc_info.value)
+        assert f"process '_transmit' blocked on {link_reason}" in message
+        assert f"process '_transmit' blocked on {inbox_reason}" in message
+        report = env.deadlock_report()
+        assert link_reason in report and inbox_reason in report
+
+
 class TestP2PStoreQueueWedge:
     def test_wedged_p2p_store_queue_is_diagnosed(self):
         """The acceptance scenario: a producer streams p2p chunks but

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, Environment, ProgressCounter
+from repro.sim import Environment, ProgressCounter
 
 
 class TestProgressCounter:
@@ -85,10 +85,3 @@ class TestProgressCounter:
         with pytest.raises(ValueError):
             counter.increment(by=0)
 
-
-def test_deprecated_counter_alias():
-    """The pre-rename name still resolves to the same class."""
-    from repro.sim.channels import Counter as ChannelCounter
-
-    assert Counter is ProgressCounter
-    assert ChannelCounter is ProgressCounter
