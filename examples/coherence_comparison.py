@@ -20,7 +20,7 @@ import numpy as np
 from repro.accelerators import classifier_spec, night_vision_spec
 from repro.datasets import darken, flatten_frames, generate
 from repro.runtime import EspRuntime, replicated_stage
-from repro.soc import SoCConfig, build_soc, read_monitors
+from repro.soc import CoherenceMode, SoCConfig, build_soc, read_monitors
 
 
 def build_runtime():
@@ -41,15 +41,16 @@ def main(n_frames: int = 24):
 
     print(f"{'model':<16}{'frames/s':>12}{'DRAM words':>12}"
           f"{'LLC hit rate':>14}")
-    for label, mode, coherent in (
-            ("non-coherent", "pipe", False),
-            ("llc-coherent", "pipe", True),
-            ("p2p", "p2p", False)):
+    for label, mode, coherence in (
+            ("non-coherent", "pipe", CoherenceMode.NON_COHERENT),
+            ("llc-coherent", "pipe", CoherenceMode.LLC_COHERENT),
+            ("p2p", "p2p", CoherenceMode.NON_COHERENT)):
         runtime = build_runtime()
         result = runtime.esp_run(dataflow, frames, mode=mode,
-                                 coherent=coherent)
+                                 coherence=coherence)
         llc = runtime.soc.memory_map.tiles[0].llc
-        hit_rate = f"{llc.hit_rate:.0%}" if coherent else "-"
+        hit_rate = f"{llc.hit_rate:.0%}" \
+            if coherence is CoherenceMode.LLC_COHERENT else "-"
         print(f"{label:<16}{result.frames_per_second:>12,.0f}"
               f"{result.dram_accesses:>12,}{hit_rate:>14}")
 

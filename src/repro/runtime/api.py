@@ -44,7 +44,7 @@ class EspRuntime:
         return self.allocator.alloc(n_words, label=label)
 
     def esp_run(self, dataflow: Dataflow, frames: np.ndarray,
-                mode: str = "p2p", coherence=None, coherent=None,
+                mode: str = "p2p", coherence=None,
                 dvfs=None) -> RunResult:
         """Execute the accelerator dataflow over a batch of frames.
 
@@ -56,14 +56,12 @@ class EspRuntime:
         string value — ``"non-coherent"``, ``"llc-coherent"``,
         ``"fully-coherent"``) for every device, or a ``device -> mode``
         mapping so each accelerator in the pipeline chooses its own.
-        The boolean ``coherent=`` alias is deprecated (True means
-        LLC-coherent). ``dvfs`` maps device names to clock dividers
-        (per-tile DVFS): a device with divider k computes k times
-        slower and burns ~1/k of its dynamic power.
+        ``dvfs`` maps device names to clock dividers (per-tile DVFS): a
+        device with divider k computes k times slower and burns ~1/k of
+        its dynamic power.
         """
         return self.executor.execute(dataflow, frames, mode,
-                                     coherence=coherence,
-                                     coherent=coherent, dvfs=dvfs)
+                                     coherence=coherence, dvfs=dvfs)
 
     def esp_cleanup(self) -> None:
         """Release every buffer allocated through this runtime."""

@@ -24,6 +24,7 @@ honours each edge's own transport):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -47,11 +48,13 @@ from ..soc import (
     STATUS_DONE,
     STATUS_REG,
     SoCInstance,
-    resolve_coherence,
 )
 from .alloc import Buffer, ContigAllocator
 from .dataflow import Dataflow, EXECUTION_MODES
 from .driver import DeviceRegistry, EspDevice
+
+#: ``P2P_REG`` contents of an invocation with both sides on DMA.
+_DMA = P2PConfig()
 
 
 @dataclass(frozen=True)
@@ -158,12 +161,6 @@ class ExecutionPlan:
         return self.coherence.get(name, CoherenceMode.NON_COHERENT)
 
     @property
-    def coherent(self) -> bool:
-        """Back-compat view: any device running a cached mode."""
-        return any(mode is not CoherenceMode.NON_COHERENT
-                   for mode in self.coherence.values())
-
-    @property
     def device_names(self) -> List[str]:
         return [node.name for level in self.levels for node in level]
 
@@ -245,13 +242,12 @@ class DataflowExecutor:
     # -- planning ----------------------------------------------------------
 
     @staticmethod
-    def _resolve_modes(dataflow: Dataflow, coherence,
-                       coherent) -> Dict[str, CoherenceMode]:
+    def _resolve_modes(dataflow: Dataflow,
+                       coherence) -> Dict[str, CoherenceMode]:
         """Per-device coherence assignment for one plan.
 
-        ``coherence`` may be a single mode (enum, string or — via the
-        deprecated ``coherent`` boolean — LLC on/off) applied to every
-        device, or a mapping ``device -> mode`` for mixed-mode
+        ``coherence`` may be a single mode (enum or string) applied to
+        every device, or a mapping ``device -> mode`` for mixed-mode
         pipelines; call-level assignments overlay any modes the
         dataflow itself declares. Non-coherent devices are left out of
         the result so the default plan is empty (seed behaviour).
@@ -260,20 +256,12 @@ class DataflowExecutor:
             device: CoherenceMode.coerce(value)
             for device, value in dataflow.coherence.items()}
         if isinstance(coherence, dict):
-            if coherent is not None:
-                raise TypeError(
-                    "pass either coherence= or the deprecated "
-                    "coherent=, not both")
             overlay = coherence
+        elif coherence is None:
+            overlay = {}
         else:
-            uniform = resolve_coherence(coherence, coherent,
-                                        stacklevel=5)
-            if uniform is CoherenceMode.NON_COHERENT \
-                    and coherence is None and coherent is None:
-                overlay = {}
-            else:
-                overlay = {device: uniform
-                           for device in dataflow.devices}
+            uniform = CoherenceMode.coerce(coherence)
+            overlay = {device: uniform for device in dataflow.devices}
         for device, value in overlay.items():
             if device not in dataflow.devices:
                 raise ValueError(
@@ -284,7 +272,7 @@ class DataflowExecutor:
                 if mode is not CoherenceMode.NON_COHERENT}
 
     def plan(self, dataflow: Dataflow, n_frames: int,
-             mode: str, coherence=None, coherent=None,
+             mode: str, coherence=None,
              dvfs: Optional[Dict[str, int]] = None) -> ExecutionPlan:
         if mode not in EXECUTION_MODES:
             raise ValueError(
@@ -297,7 +285,7 @@ class DataflowExecutor:
             dataflow.validate_for_custom()
         else:
             dataflow.validate()
-        modes = self._resolve_modes(dataflow, coherence, coherent)
+        modes = self._resolve_modes(dataflow, coherence)
         dvfs = dict(dvfs or {})
         for device, divider in dvfs.items():
             if device not in dataflow.devices:
@@ -693,10 +681,10 @@ class DataflowExecutor:
                 if not plan.abort.triggered:
                     plan.abort.succeed(exc)
 
-    def _spawn_threads(self, plan: ExecutionPlan, make_body):
+    def _spawn_threads(self, plan: ExecutionPlan, thread):
         """Stagger-spawn one guarded thread per node; then await them.
 
-        ``make_body`` maps a :class:`NodePlan` to the thread generator.
+        ``thread(plan, node)`` returns the node's thread generator.
         Stops early if a freshly spawned thread already failed (e.g. a
         p2p stream on a device marked failed raises immediately).
         """
@@ -713,7 +701,7 @@ class DataflowExecutor:
                 if plan.failure is not None:
                     raise plan.failure
                 plan.threads.append(env.process(
-                    self._thread_guard(plan, make_body(node)),
+                    self._thread_guard(plan, thread(plan, node)),
                     name=f"{plan.mode}-thread:{node.name}"))
         yield env.any_of([env.all_of(plan.threads), plan.abort])
         if plan.failure is not None:
@@ -734,10 +722,21 @@ class DataflowExecutor:
         return plan.output_buffer if level == last \
             else plan.inter_buffers[level]
 
-    # -- base mode ----------------------------------------------------------------
+    # -- execution modes ----------------------------------------------------------
+
+    def _main(self, plan: ExecutionPlan):
+        """The generator that runs ``plan``'s mode to completion."""
+        if plan.mode == "base":
+            return self._base_main(plan)
+        if plan.mode == "p2p":
+            return self._spawn_threads(plan, self._p2p_thread)
+        counters = {node.name: ProgressCounter(self.soc.env,
+                                               name=f"done:{node.name}")
+                    for row in plan.levels for node in row}
+        return self._spawn_threads(
+            plan, partial(self._frame_thread, counters=counters))
 
     def _base_main(self, plan: ExecutionPlan):
-        no_p2p = P2PConfig()
         for frame in range(plan.n_frames):
             for level_idx, row in enumerate(plan.levels):
                 node = row[frame % len(row)]
@@ -746,72 +745,37 @@ class DataflowExecutor:
                                        frame, spec.input_words)
                 dst = self._frame_addr(self._dst_buffer(plan, level_idx),
                                        frame, spec.output_words)
-                yield from self._run_node(plan, node, src, dst, 1,
-                                          no_p2p)
+                yield from self._run_node(plan, node, src, dst, 1, _DMA)
 
-    # -- pipe mode -----------------------------------------------------------------
+    def _frame_thread(self, plan: ExecutionPlan, node: NodePlan,
+                      counters: Dict[str, ProgressCounter]):
+        """One invocation per frame: the ``pipe`` and ``custom`` thread.
 
-    def _pipe_thread(self, plan: ExecutionPlan, node: NodePlan,
-                     counters: Dict[str, ProgressCounter]):
-        env = self.soc.env
-        no_p2p = P2PConfig()
-        spec = node.spec
-        for local in range(node.n_frames):
-            frame = node.index + local * node.siblings
-            if node.level > 0:
-                producers = plan.levels[node.level - 1]
-                producer = producers[frame % len(producers)]
-                needed = (frame - producer.index) // producer.siblings + 1
-                tracer = env.tracer
-                sid = None if tracer is None else tracer.begin(
-                    "cpu", f"driver:{node.name}", "frame-sync",
-                    "runtime.sync", producer=producer.name, frame=frame)
-                yield env.timeout(self.costs.sync_cycles)
-                yield counters[producer.name].wait_until(needed)
-                if sid is not None:
-                    tracer.end(sid)
-            src = self._frame_addr(self._src_buffer(plan, node.level),
-                                   frame, spec.input_words)
-            dst = self._frame_addr(self._dst_buffer(plan, node.level),
-                                   frame, spec.output_words)
-            yield from self._run_node(plan, node, src, dst, 1, no_p2p)
-            counters[node.name].increment()
-
-    def _pipe_main(self, plan: ExecutionPlan):
-        env = self.soc.env
-        counters = {node.name: ProgressCounter(env, name=f"done:{node.name}")
-                    for row in plan.levels for node in row}
-        yield from self._spawn_threads(
-            plan, lambda node: self._pipe_thread(plan, node, counters))
-
-    # -- custom mode (per-edge communication) --------------------------------------
-
-    def _custom_thread(self, plan: ExecutionPlan, node: NodePlan,
-                       counters: Dict[str, ProgressCounter]):
-        """Per-frame invocations with each edge's own transport.
-
-        DMA edges synchronize in software (like ``pipe``); p2p edges
-        rely on the hardware handshake and reprogram ``P2P_REG`` every
-        invocation with that frame's single source — the "dynamically
-        configured" per-invocation choice of Sec. V.
+        ``pipe`` is ``custom`` with every edge on DMA. A DMA edge
+        synchronizes in software on the producer's progress counter; a
+        p2p edge (``custom`` only) relies on the hardware handshake and
+        reprograms ``P2P_REG`` every invocation with that frame's
+        single source — the "dynamically configured" per-invocation
+        choice of Sec. V.
         """
         env = self.soc.env
-        dataflow = plan.dataflow
         spec = node.spec
+        custom = plan.mode == "custom"
+        edge_between = plan.dataflow.edge_between
         last = len(plan.levels) - 1
+        producers = plan.levels[node.level - 1] if node.level else None
+        consumers = plan.levels[node.level + 1] \
+            if custom and node.level < last else None
+        src_buffer = self._src_buffer(plan, node.level)
+        dst_buffer = self._dst_buffer(plan, node.level)
         for local in range(node.n_frames):
             frame = node.index + local * node.siblings
-            load_p2p = False
-            sources: Tuple[Tuple[int, int], ...] = ()
-            src = dst = 0
-            if node.level > 0:
-                producers = plan.levels[node.level - 1]
+            load_p2p = store_p2p = False
+            if producers:
                 producer = producers[frame % len(producers)]
-                edge = dataflow.edge_between(producer.name, node.name)
-                if edge.comm == "p2p":
-                    load_p2p = True
-                    sources = (producer.device.coord,)
-                else:
+                load_p2p = custom and edge_between(
+                    producer.name, node.name).comm == "p2p"
+                if not load_p2p:
                     needed = (frame - producer.index) \
                         // producer.siblings + 1
                     tracer = env.tracer
@@ -823,41 +787,21 @@ class DataflowExecutor:
                     yield counters[producer.name].wait_until(needed)
                     if sid is not None:
                         tracer.end(sid)
-                    src = self._frame_addr(
-                        plan.inter_buffers[node.level - 1], frame,
-                        spec.input_words)
-            else:
-                src = self._frame_addr(plan.input_buffer, frame,
-                                       spec.input_words)
-
-            store_p2p = False
-            if node.level < last:
-                consumers = plan.levels[node.level + 1]
+            if consumers:
                 consumer = consumers[frame % len(consumers)]
-                edge = dataflow.edge_between(node.name, consumer.name)
-                if edge.comm == "p2p":
-                    store_p2p = True
-                else:
-                    dst = self._frame_addr(
-                        plan.inter_buffers[node.level], frame,
-                        spec.output_words)
-            else:
-                dst = self._frame_addr(plan.output_buffer, frame,
-                                       spec.output_words)
-
-            p2p = P2PConfig(store_enabled=store_p2p,
-                            load_enabled=load_p2p, sources=sources)
+                store_p2p = edge_between(
+                    node.name, consumer.name).comm == "p2p"
+            p2p = _DMA
+            if load_p2p or store_p2p:
+                p2p = P2PConfig(
+                    store_enabled=store_p2p, load_enabled=load_p2p,
+                    sources=(producer.device.coord,) if load_p2p else ())
+            src = 0 if load_p2p else self._frame_addr(
+                src_buffer, frame, spec.input_words)
+            dst = 0 if store_p2p else self._frame_addr(
+                dst_buffer, frame, spec.output_words)
             yield from self._run_node(plan, node, src, dst, 1, p2p)
             counters[node.name].increment()
-
-    def _custom_main(self, plan: ExecutionPlan):
-        env = self.soc.env
-        counters = {node.name: ProgressCounter(env, name=f"done:{node.name}")
-                    for row in plan.levels for node in row}
-        yield from self._spawn_threads(
-            plan, lambda node: self._custom_thread(plan, node, counters))
-
-    # -- p2p mode ------------------------------------------------------------------
 
     def _p2p_thread(self, plan: ExecutionPlan, node: NodePlan):
         spec = node.spec
@@ -888,11 +832,22 @@ class DataflowExecutor:
                                   src_stride=src_stride,
                                   dst_stride=dst_stride)
 
-    def _p2p_main(self, plan: ExecutionPlan):
-        yield from self._spawn_threads(
-            plan, lambda node: self._p2p_thread(plan, node))
+    # -- the control path -------------------------------------------------------------
 
-    # -- entry point --------------------------------------------------------------------
+    def _prepare(self, dataflow: Dataflow, frames, mode: str, coherence,
+                 dvfs: Optional[Dict[str, int]]):
+        """Plan the run and load its inputs; returns ``(plan, frames)``."""
+        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+        plan = self.plan(dataflow, len(frames), mode,
+                         coherence=coherence, dvfs=dvfs)
+        in_words = plan.levels[0][0].spec.input_words
+        if frames.shape[1] != in_words:
+            self.release_plan(plan)
+            raise ValueError(
+                f"input frames have {frames.shape[1]} words; level-0 "
+                f"devices expect {in_words}")
+        self._load_inputs(plan, frames)
+        return plan, frames
 
     def _load_inputs(self, plan: ExecutionPlan, frames: np.ndarray) -> None:
         """Write the input frames to DRAM and prime the SoC's result
@@ -902,16 +857,86 @@ class DataflowExecutor:
             plan, [[node.spec for node in row] for row in plan.levels],
             frames)
 
-    def _read_outputs(self, plan: ExecutionPlan) -> np.ndarray:
-        """The plan's results from DRAM; its primed rows are dropped."""
+    def _run(self, plan: ExecutionPlan, frames: np.ndarray):
+        """Run a prepared plan in-process; returns ``(plan, cycles,
+        degraded)``, the plan being the one holding the outputs.
+
+        The one control path behind both drivers (:meth:`execute` and
+        :meth:`run_process`). A permanently failed p2p stream degrades
+        gracefully when the recovery policy allows software fallback:
+        the run cannot be patched in place (its peers hold partial
+        progress), so the plan is torn down and the whole batch re-runs
+        in ``pipe`` mode, where the failed device (marked in the
+        registry) executes in software. Any other failure — including
+        an :class:`Interrupt` from whoever drives the run — tears the
+        plan down, so its tiles and buffers are reusable, and
+        propagates.
+        """
+        env = self.soc.env
+        name = f"{plan.mode}:{plan.dataflow.name}"
+        start = env.now
+        degraded = False
+        try:
+            try:
+                yield from self._main(plan)
+            except NodeFailed:
+                if self.recovery is None \
+                        or not self.recovery.software_fallback:
+                    raise
+                self.degraded_runs += 1
+                if env.metrics is not None:
+                    env.metrics.degraded_runs.inc()
+                yield from self._abort_and_release(plan)
+                yield env.timeout(self.recovery.reset_cycles)
+                aborted = plan
+                plan = self.plan(aborted.dataflow, aborted.n_frames, "pipe",
+                                 coherence=aborted.coherence,
+                                 dvfs=aborted.dvfs)
+                self._load_inputs(plan, frames)
+                # Carry the aborted attempt's accounting so the result
+                # reflects the whole request, not just the re-run.
+                plan.ioctl_calls = aborted.ioctl_calls
+                plan.retries = aborted.retries
+                plan.watchdog_timeouts = aborted.watchdog_timeouts
+                plan.software_frames = aborted.software_frames
+                degraded = True
+                yield from self._main(plan)
+        except Exception:
+            yield from self._abort_and_release(plan)
+            raise
+        if env.tracer is not None:
+            env.tracer.complete(
+                "cpu", "main", name, "runtime.run", start, env.now,
+                frames=plan.n_frames, degraded=degraded)
+        return plan, env.now - start, degraded
+
+    def _result(self, plan: ExecutionPlan, mode: str, cycles: int,
+                degraded: bool, dram_before: int) -> RunResult:
+        """Read the plan's outputs (dropping its primed result rows) and
+        build the :class:`RunResult` from the plan's own counters."""
         self.soc.results.drop(plan)
         out_words = plan.levels[-1][0].spec.output_words
-        return plan.output_buffer.read().reshape(plan.n_frames, out_words)
+        return RunResult(
+            dataflow=plan.dataflow.name,
+            mode=mode,
+            frames=plan.n_frames,
+            cycles=cycles,
+            clock_mhz=self.soc.clock_mhz,
+            dram_accesses=self.soc.memory_map.total_accesses - dram_before,
+            ioctl_calls=plan.ioctl_calls,
+            outputs=plan.output_buffer.read().reshape(plan.n_frames,
+                                                      out_words),
+            retries=plan.retries,
+            watchdog_timeouts=plan.watchdog_timeouts,
+            software_frames=plan.software_frames,
+            degraded=degraded,
+        )
 
     def execute(self, dataflow: Dataflow, frames: np.ndarray,
-                mode: str, coherence=None, coherent=None,
+                mode: str, coherence=None,
                 dvfs: Optional[Dict[str, int]] = None) -> RunResult:
-        """Run the dataflow over ``frames`` (N x input_words).
+        """Run the dataflow over ``frames`` (N x input_words), driving
+        the event loop until it completes.
 
         ``coherence`` selects the DMA coherence model — one
         :class:`CoherenceMode` (or its string value) for the whole run,
@@ -919,110 +944,33 @@ class DataflowExecutor:
         own. Cached modes require a memory tile with an LLC; without
         one the request silently behaves like non-coherent DMA, as in
         ESP where the fabric downgrades unsupported coherence
-        requests. The boolean ``coherent=`` alias is deprecated.
+        requests. The plan's buffers stay allocated (``esp_cleanup``
+        releases them).
         """
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        plan = self.plan(dataflow, len(frames), mode,
-                         coherence=coherence, coherent=coherent,
-                         dvfs=dvfs)
-        in_words = plan.levels[0][0].spec.input_words
-        if frames.shape[1] != in_words:
-            raise ValueError(
-                f"input frames have {frames.shape[1]} words; level-0 "
-                f"devices expect {in_words}")
-        self._load_inputs(plan, frames)
-
+        plan, frames = self._prepare(dataflow, frames, mode, coherence,
+                                     dvfs)
         env = self.soc.env
         dram_before = self.soc.memory_map.total_accesses
-        ioctl_before = self.ioctl_calls
-        retries_before = self.retries
-        watchdogs_before = self.watchdog_timeouts
-        software_before = self.software_frames
-        start = env.now
-        mains = {"base": self._base_main, "pipe": self._pipe_main,
-                 "p2p": self._p2p_main, "custom": self._custom_main}
-        done = env.process(mains[mode](plan),
+        done = env.process(self._run(plan, frames),
                            name=f"main:{mode}:{dataflow.name}")
-        degraded = False
         try:
-            env.run(until=done)
-        except NodeFailed:
-            if self.recovery is None or not self.recovery.software_fallback:
-                self._cleanup_failed(plan, done)
-                raise
-            if done.is_alive:
-                # The failure escaped through a pipeline thread directly
-                # (a thread died before main observed it — e.g. during
-                # the staggered spawn loop, or two streams dying in the
-                # same cycle). Kill main now: left alive it would resume
-                # inside the quiesce drain and keep spawning threads for
-                # the aborted run.
-                done.interrupt("degraded re-run")
-            plan = self._degrade(plan, dataflow, frames, dvfs)
-            degraded = True
+            plan, cycles, degraded = env.run(until=done)
         except BaseException:
-            # Any other mid-pipeline failure (AcceleratorTimeout,
-            # DeadlockError, ...): stop in-flight accelerators, drain,
-            # and release the plan's buffers so the SoC is immediately
-            # reusable for the next plan, then let the error surface.
-            self._cleanup_failed(plan, done)
+            # The run failed (and tore its plan down), or a process
+            # outside it crashed the loop: let the run's own teardown
+            # finish, drain, and discard completion IRQs that landed
+            # after the teardown, so the SoC is reusable.
+            done.interrupt("plan aborted")
+            env.run()
+            self._drain_stale_irqs(plan)
             raise
-        cycles = env.now - start
-        if env.tracer is not None:
-            env.tracer.complete(
-                "cpu", "main", f"{mode}:{dataflow.name}", "runtime.run",
-                start, env.now, frames=plan.n_frames, degraded=degraded)
         # Drain the schedule: stores are posted, so the final write may
         # still be in the memory tile's request queue when the IRQ
         # lands. Dependent DMA traffic is ordered by that queue, but the
         # CPU-side result read below bypasses it, so quiesce first. The
         # tail is a few service cycles and is excluded from the timing.
         env.run()
-
-        outputs = self._read_outputs(plan)
-        return RunResult(
-            dataflow=dataflow.name,
-            mode=mode,
-            frames=plan.n_frames,
-            cycles=cycles,
-            clock_mhz=self.soc.clock_mhz,
-            dram_accesses=self.soc.memory_map.total_accesses - dram_before,
-            ioctl_calls=self.ioctl_calls - ioctl_before,
-            outputs=outputs,
-            retries=self.retries - retries_before,
-            watchdog_timeouts=self.watchdog_timeouts - watchdogs_before,
-            software_frames=self.software_frames - software_before,
-            degraded=degraded,
-        )
-
-    def _degrade(self, plan: ExecutionPlan, dataflow: Dataflow,
-                 frames: np.ndarray,
-                 dvfs: Optional[Dict[str, int]]) -> ExecutionPlan:
-        """Graceful degradation after a p2p stream died permanently.
-
-        The failed streaming run cannot be patched in place (its peers
-        hold partial progress), so: cancel every surviving pipeline
-        thread, hardware-reset every tile of the plan, quiesce, release
-        the aborted plan's buffers, then re-run the whole batch in
-        ``pipe`` mode — the failed device (marked in the registry)
-        executes in software there. Returns the plan of the re-run,
-        whose output buffer holds the results.
-        """
-        env = self.soc.env
-        self.degraded_runs += 1
-        if env.metrics is not None:
-            env.metrics.degraded_runs.inc()
-        self._abort_plan(plan)
-        env.run()   # drain aborted threads and in-flight hardware
-        self._drain_stale_irqs(plan)
-        self.release_plan(plan)
-        replan = self.plan(dataflow, len(frames), "pipe",
-                           coherence=plan.coherence, dvfs=dvfs)
-        self._load_inputs(replan, frames)
-        done = env.process(self._pipe_main(replan),
-                           name=f"main:degraded:{dataflow.name}")
-        env.run(until=done)
-        return replan
+        return self._result(plan, mode, cycles, degraded, dram_before)
 
     # -- plan teardown ------------------------------------------------------------
 
@@ -1062,15 +1010,6 @@ class DataflowExecutor:
         for buffer in plan.buffers:
             self.allocator.free(buffer)
 
-    def _cleanup_failed(self, plan: ExecutionPlan, done: Process) -> None:
-        """Blocking-path teardown after ``execute`` caught a failure."""
-        if done.is_alive:
-            done.interrupt("plan aborted")
-        self._abort_plan(plan)
-        self.soc.env.run()   # drain aborted processes and posted stores
-        self._drain_stale_irqs(plan)
-        self.release_plan(plan)
-
     def _quiesce_stores(self):
         """Wait (in-process) until posted stores have retired.
 
@@ -1106,45 +1045,21 @@ class DataflowExecutor:
         self._drain_stale_irqs(plan)
         self.release_plan(plan)
 
-    def _degrade_in_process(self, plan: ExecutionPlan, dataflow: Dataflow,
-                            frames: np.ndarray,
-                            dvfs: Optional[Dict[str, int]]):
-        """In-process graceful degradation (serving-loop counterpart of
-        :meth:`_degrade`, which may not ``env.run`` inside a process).
-        """
-        env = self.soc.env
-        self.degraded_runs += 1
-        if env.metrics is not None:
-            env.metrics.degraded_runs.inc()
-        yield from self._abort_and_release(plan)
-        yield env.timeout(self.recovery.reset_cycles)
-        replan = self.plan(dataflow, len(frames), "pipe",
-                           coherence=plan.coherence, dvfs=dvfs)
-        self._load_inputs(replan, frames)
-        # Carry the aborted attempt's accounting so the RunResult
-        # reflects the whole request, not just the re-run.
-        replan.ioctl_calls = plan.ioctl_calls
-        replan.retries = plan.retries
-        replan.watchdog_timeouts = plan.watchdog_timeouts
-        replan.software_frames = plan.software_frames
-        yield from self._pipe_main(replan)
-        return replan
-
     # -- re-entrant entry point (serving layer) -----------------------------------
 
     def run_process(self, dataflow: Dataflow, frames: np.ndarray,
-                    mode: str, coherence=None, coherent=None,
+                    mode: str, coherence=None,
                     dvfs: Optional[Dict[str, int]] = None,
                     release_buffers: bool = True):
         """Re-entrant ``execute``: a generator to run as a sim process.
 
         ``execute`` drives the event loop itself (``env.run``), so only
         one call can be outstanding — fine for the paper's single-app
-        experiments, unusable for serving. ``run_process`` is the same
-        pipeline expressed as a process: several instances can be in
-        flight concurrently over disjoint tile sets, interleaved by the
-        kernel like any other processes. Returns a :class:`RunResult`
-        built from the plan's own counters.
+        experiments, unusable for serving. ``run_process`` runs the same
+        control path inside the caller's process: several instances can
+        be in flight concurrently over disjoint tile sets, interleaved
+        by the kernel like any other processes. Returns a
+        :class:`RunResult` built from the plan's own counters.
 
         Differences from the blocking path, by necessity:
 
@@ -1156,63 +1071,16 @@ class DataflowExecutor:
         - buffers are released on completion (``release_buffers``) so a
           long-lived server does not leak DRAM.
         """
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        plan = self.plan(dataflow, len(frames), mode,
-                         coherence=coherence, coherent=coherent,
-                         dvfs=dvfs)
-        in_words = plan.levels[0][0].spec.input_words
-        if frames.shape[1] != in_words:
-            self.release_plan(plan)
-            raise ValueError(
-                f"input frames have {frames.shape[1]} words; level-0 "
-                f"devices expect {in_words}")
-        self._load_inputs(plan, frames)
-
-        env = self.soc.env
+        plan, frames = self._prepare(dataflow, frames, mode, coherence,
+                                     dvfs)
         dram_before = self.soc.memory_map.total_accesses
-        start = env.now
-        mains = {"base": self._base_main, "pipe": self._pipe_main,
-                 "p2p": self._p2p_main, "custom": self._custom_main}
-        degraded = False
-        try:
-            yield from mains[mode](plan)
-        except NodeFailed:
-            if self.recovery is None or not self.recovery.software_fallback:
-                yield from self._abort_and_release(plan)
-                raise
-            plan = yield from self._degrade_in_process(
-                plan, dataflow, frames, dvfs)
-            degraded = True
-        except BaseException:
-            # Includes Interrupt (the server cancelling this request):
-            # put the tiles and buffers back before propagating.
-            yield from self._abort_and_release(plan)
-            raise
-        cycles = env.now - start
-        if env.tracer is not None:
-            env.tracer.complete(
-                "cpu", "main", f"{mode}:{dataflow.name}", "runtime.run",
-                start, env.now, frames=plan.n_frames, degraded=degraded)
+        plan, cycles, degraded = yield from self._run(plan, frames)
         # Posted stores: the final write may still be in flight when
         # the IRQ lands; wait for it to retire before the CPU-side
         # read below (the serving analogue of execute's global drain —
         # the tail is excluded from the timing, as there).
         yield from self._quiesce_stores()
-        outputs = self._read_outputs(plan)
-        result = RunResult(
-            dataflow=dataflow.name,
-            mode=mode,
-            frames=plan.n_frames,
-            cycles=cycles,
-            clock_mhz=self.soc.clock_mhz,
-            dram_accesses=self.soc.memory_map.total_accesses - dram_before,
-            ioctl_calls=plan.ioctl_calls,
-            outputs=outputs,
-            retries=plan.retries,
-            watchdog_timeouts=plan.watchdog_timeouts,
-            software_frames=plan.software_frames,
-            degraded=degraded,
-        )
+        result = self._result(plan, mode, cycles, degraded, dram_before)
         if release_buffers:
             self.release_plan(plan)
         return result

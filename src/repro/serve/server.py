@@ -37,8 +37,7 @@ import numpy as np
 from ..eval.harness import LatencySummary, summarize_latencies
 from ..runtime import Dataflow, DataflowExecutor, EspRuntime
 from ..sim import Environment, Interrupt, Process, ProgressCounter
-from ..soc import (CoherenceMode, TileActivity, activity_delta,
-                   tile_activity)
+from ..soc import TileActivity, activity_delta, tile_activity
 from ..trace.context import (TraceContext, TraceIdAllocator,
                              batch_trace_ids)
 from .arbiter import TileArbiter, TileUnavailable
@@ -80,10 +79,9 @@ class TenantConfig:
     batch_window_cycles: int = 0
     #: DMA coherence for the tenant's runs: a single
     #: :class:`~repro.soc.CoherenceMode` (or string value), or a
-    #: ``device -> mode`` mapping. ``None`` falls back to the
-    #: deprecated ``coherent`` boolean below.
+    #: ``device -> mode`` mapping. ``None`` keeps the dataflow's own
+    #: modes (non-coherent unless it declares any).
     coherence: Optional[object] = None
-    coherent: bool = False
     dvfs: Optional[Dict[str, int]] = None
 
 
@@ -626,12 +624,9 @@ class InferenceServer:
         error: Optional[BaseException] = None
         result = None
         try:
-            coherence = config.coherence
-            if coherence is None and config.coherent:
-                coherence = CoherenceMode.LLC_COHERENT
             result = yield from self.executor.run_process(
                 config.dataflow, batch.frames, config.mode,
-                coherence=coherence, dvfs=config.dvfs)
+                coherence=config.coherence, dvfs=config.dvfs)
         except Interrupt:
             if sid is not None:
                 for key in bound_keys:

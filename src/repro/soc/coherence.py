@@ -29,7 +29,6 @@ few cycles of timing, never corrupt data.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -85,15 +84,12 @@ class CoherenceMode(Enum):
 
         Accepts a :class:`CoherenceMode`, one of its string values
         (``"non-coherent"`` / ``"llc-coherent"`` / ``"fully-coherent"``),
-        a legacy boolean (``True`` = LLC-coherent) or ``None`` (=
-        non-coherent).
+        or ``None`` (= non-coherent).
         """
         if value is None:
             return cls.NON_COHERENT
         if isinstance(value, cls):
             return value
-        if isinstance(value, bool):
-            return cls.LLC_COHERENT if value else cls.NON_COHERENT
         if isinstance(value, str):
             try:
                 return cls(value)
@@ -112,31 +108,6 @@ _MODE_TO_REG = {
     CoherenceMode.FULLY_COHERENT: COHERENCE_FULL,
 }
 _REG_TO_MODE = {reg: mode for mode, reg in _MODE_TO_REG.items()}
-
-
-def resolve_coherence(coherence, coherent,
-                      stacklevel: int = 3) -> CoherenceMode:
-    """Resolve the (new, deprecated-boolean) kwarg pair into a mode.
-
-    ``coherence`` is the first-class argument (mode, string or
-    ``None``); ``coherent`` is the deprecated boolean alias, kept so
-    pre-enum call sites run unchanged (with a :class:`DeprecationWarning`)
-    and keep their exact cycle counts: ``True`` maps onto
-    :attr:`CoherenceMode.LLC_COHERENT`, ``False`` onto
-    :attr:`CoherenceMode.NON_COHERENT`. Passing both is an error.
-    """
-    if coherent is not None:
-        if coherence is not None:
-            raise TypeError(
-                "pass either coherence= or the deprecated coherent=, "
-                "not both")
-        warnings.warn(
-            "the boolean coherent= kwarg is deprecated; pass "
-            "coherence=CoherenceMode.LLC_COHERENT (or 'llc-coherent') "
-            "instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        return CoherenceMode.coerce(bool(coherent))
-    return CoherenceMode.coerce(coherence)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .coherence import (
     PrivateCache,
     SHARED,
     line_list_flits,
-    resolve_coherence,
 )
 from .memory import DmaRequest, MemoryMap, MemoryTile
 from .registers import P2PConfig
@@ -613,20 +612,18 @@ class DmaEngine:
 
     def load(self, offset: int, n_words: int,
              p2p: Optional[P2PConfig] = None,
-             coherence=None, coherent=None):
+             coherence=None):
         """Load ``n_words`` into the PLM; DMA or p2p per configuration.
 
         ``coherence`` selects the cache-coherence model
         (:class:`CoherenceMode` or its string value): non-coherent DMA
         straight to DRAM, LLC-coherent DMA through the memory tile's
         last-level cache, or the fully-coherent private-cache path.
-        The boolean ``coherent=`` alias is deprecated (True maps onto
-        LLC-coherent). A generator to be driven with ``yield from``;
-        returns the data.
+        A generator to be driven with ``yield from``; returns the data.
         """
         if n_words < 1:
             raise ValueError(f"n_words must be >= 1, got {n_words}")
-        mode = resolve_coherence(coherence, coherent)
+        mode = CoherenceMode.coerce(coherence)
         if p2p is not None and p2p.load_enabled:
             return (yield from self._p2p_load(n_words, p2p))
         if mode is CoherenceMode.FULLY_COHERENT:
@@ -641,9 +638,9 @@ class DmaEngine:
 
     def store(self, offset: int, data: np.ndarray,
               p2p: Optional[P2PConfig] = None,
-              coherence=None, coherent=None):
+              coherence=None):
         """Store a PLM buffer; DMA or p2p per configuration."""
-        mode = resolve_coherence(coherence, coherent)
+        mode = CoherenceMode.coerce(coherence)
         if p2p is not None and p2p.store_enabled:
             return (yield from self._p2p_store(data))
         if mode is CoherenceMode.FULLY_COHERENT:

@@ -55,11 +55,6 @@ class InvocationConfig:
         if self.clock_divider < 1:
             raise ValueError("clock_divider must be >= 1")
 
-    @property
-    def coherent(self) -> bool:
-        """Back-compat view of the old boolean flag (any cached mode)."""
-        return self.coherence is not CoherenceMode.NON_COHERENT
-
 
 @dataclass
 class InvocationResult:

@@ -1,14 +1,10 @@
 """Tests for per-accelerator coherence modes and the MESI machinery.
 
-Covers the mode enum and its register encoding, the deprecated
-``coherent=`` boolean alias (warning + exact-cycle equivalence), the
-fully-coherent private-cache path (bit-identical outputs, coherence
-planes carrying traffic only when the protocol runs, invalidation and
-directory accounting) and the per-device assignment surface of
-``esp_run``.
+Covers the mode enum and its register encoding, the fully-coherent
+private-cache path (bit-identical outputs, coherence planes carrying
+traffic only when the protocol runs, invalidation and directory
+accounting) and the per-device assignment surface of ``esp_run``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +14,7 @@ from repro.noc import (COH_FORWARD_PLANE, COH_REQUEST_PLANE,
 from repro.runtime import EspRuntime, chain
 from repro.soc import (COHERENCE_FULL, COHERENCE_LLC,
                        COHERENCE_NON_COHERENT, CoherenceMode, PrivateCache,
-                       SoCConfig, build_soc, resolve_coherence)
+                       SoCConfig, build_soc)
 from tests.conftest import make_spec
 
 MODES = (CoherenceMode.NON_COHERENT, CoherenceMode.LLC_COHERENT,
@@ -56,9 +52,6 @@ class TestCoherenceMode:
 
     def test_coerce_spellings(self):
         assert CoherenceMode.coerce(None) is CoherenceMode.NON_COHERENT
-        assert CoherenceMode.coerce(True) is CoherenceMode.LLC_COHERENT
-        assert CoherenceMode.coerce(False) is \
-            CoherenceMode.NON_COHERENT
         assert CoherenceMode.coerce("fully-coherent") is \
             CoherenceMode.FULLY_COHERENT
         assert CoherenceMode.coerce(CoherenceMode.LLC_COHERENT) is \
@@ -67,50 +60,8 @@ class TestCoherenceMode:
             CoherenceMode.coerce("cache-me-maybe")
         with pytest.raises(TypeError):
             CoherenceMode.coerce(3.14)
-
-    def test_resolve_coherence_rejects_both_kwargs(self):
-        with pytest.raises(TypeError, match="both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                resolve_coherence("llc-coherent", True)
-
-
-class TestDeprecatedCoherentKwarg:
-    def test_boolean_alias_warns(self, rng):
-        frames = rng.uniform(0, 1, (2, 256))
-        rt = EspRuntime(coherence_soc())
-        with pytest.warns(DeprecationWarning, match="coherent="):
-            rt.esp_run(chain("ab", ["a0", "b0"]), frames, mode="pipe",
-                       coherent=True)
-
-    def test_boolean_alias_keeps_exact_cycles(self, rng):
-        """``coherent=True`` must stay cycle-identical to the enum
-        spelling it aliases — old call sites keep their numbers."""
-        frames = rng.uniform(0, 1, (4, 256))
-        cycles = {}
-        for label, kwargs in (
-                ("bool", {"coherent": True}),
-                ("enum", {"coherence": CoherenceMode.LLC_COHERENT}),
-                ("str", {"coherence": "llc-coherent"})):
-            rt = EspRuntime(coherence_soc())
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                result = rt.esp_run(chain("ab", ["a0", "b0"]), frames,
-                                    mode="pipe", **kwargs)
-            cycles[label] = result.cycles
-        assert cycles["bool"] == cycles["enum"] == cycles["str"]
-
-    def test_false_alias_matches_default(self, rng):
-        frames = rng.uniform(0, 1, (4, 256))
-        rt = EspRuntime(coherence_soc())
-        baseline = rt.esp_run(chain("ab", ["a0", "b0"]), frames,
-                              mode="pipe").cycles
-        rt = EspRuntime(coherence_soc())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            aliased = rt.esp_run(chain("ab", ["a0", "b0"]), frames,
-                                 mode="pipe", coherent=False).cycles
-        assert aliased == baseline
+        with pytest.raises(TypeError):
+            CoherenceMode.coerce(True)   # no boolean spelling
 
 
 class TestFullyCoherent:

@@ -142,12 +142,13 @@ class TestCoherentDma:
     def test_results_identical_to_non_coherent(self, rng):
         frames = rng.uniform(0, 1, (8, 256))
         outs = {}
-        for coherent in (False, True):
+        for coherence in ("non-coherent", "llc-coherent"):
             rt = EspRuntime(coherent_soc())
             result = rt.esp_run(chain("ab", ["a0", "b0"]), frames,
-                                mode="pipe", coherent=coherent)
-            outs[coherent] = result.outputs
-        np.testing.assert_array_equal(outs[False], outs[True])
+                                mode="pipe", coherence=coherence)
+            outs[coherence] = result.outputs
+        np.testing.assert_array_equal(outs["non-coherent"],
+                                      outs["llc-coherent"])
 
     def test_llc_absorbs_intermediate_traffic(self, rng):
         """The working set fits: the intermediate frame round trip
@@ -156,12 +157,12 @@ class TestCoherentDma:
         efficient model for non-trivial workloads')."""
         frames = rng.uniform(0, 1, (8, 256))
         dram = {}
-        for coherent in (False, True):
+        for coherence in ("non-coherent", "llc-coherent"):
             rt = EspRuntime(coherent_soc())
             result = rt.esp_run(chain("ab", ["a0", "b0"]), frames,
-                                mode="pipe", coherent=coherent)
-            dram[coherent] = result.dram_accesses
-        assert dram[True] < dram[False]
+                                mode="pipe", coherence=coherence)
+            dram[coherence] = result.dram_accesses
+        assert dram["llc-coherent"] < dram["non-coherent"]
 
     def test_llc_thrashes_when_working_set_exceeds_capacity(self, rng):
         """A tiny LLC cannot hold the stream: DRAM traffic returns."""
@@ -170,7 +171,8 @@ class TestCoherentDma:
         def run(llc_words):
             rt = EspRuntime(coherent_soc(llc_words=llc_words))
             return rt.esp_run(chain("ab", ["a0", "b0"]), frames,
-                              mode="pipe", coherent=True).dram_accesses
+                              mode="pipe",
+                              coherence="llc-coherent").dram_accesses
 
         assert run(1 << 14) < run(256)
 
@@ -178,7 +180,7 @@ class TestCoherentDma:
         rt = EspRuntime(coherent_soc(llc_words=0))
         frames = rng.uniform(0, 1, (4, 256))
         result = rt.esp_run(chain("ab", ["a0", "b0"]), frames,
-                            mode="pipe", coherent=True)
+                            mode="pipe", coherence="llc-coherent")
         np.testing.assert_allclose(result.outputs, frames + 2.0)
 
     def test_llc_stats_populated(self, rng):
@@ -186,7 +188,7 @@ class TestCoherentDma:
         rt = EspRuntime(soc)
         frames = rng.uniform(0, 1, (8, 256))
         rt.esp_run(chain("ab", ["a0", "b0"]), frames, mode="pipe",
-                   coherent=True)
+                   coherence="llc-coherent")
         llc = soc.memory_map.tiles[0].llc
         stats = llc.stats()
         assert stats["hits"] > 0

@@ -65,7 +65,7 @@ class TestMonitorReport:
         rt = EspRuntime(build_soc(config))
         frames = rng.uniform(0, 1, (4, 64))
         rt.esp_run(chain("ab", ["a0", "b0"]), frames, mode="pipe",
-                   coherent=True)
+                   coherence="llc-coherent")
         report = read_monitors(rt.soc)
         assert report.memories[0].llc_hits is not None
         assert report.memories[0].llc_hits + \

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soc import InvocationConfig, P2PConfig
+from repro.soc import CoherenceMode, InvocationConfig, P2PConfig
 
 
 class TestInvocationConfigValidation:
@@ -11,7 +11,7 @@ class TestInvocationConfigValidation:
                                   p2p=P2PConfig())
         assert config.src_stride == 0
         assert config.dst_stride == 0
-        assert config.coherent is False
+        assert config.coherence is CoherenceMode.NON_COHERENT
         assert config.clock_divider == 1
 
     @pytest.mark.parametrize("kwargs", [
