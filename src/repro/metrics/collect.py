@@ -52,12 +52,12 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
     mem_written = registry.gauge(
         "mem_words_written", "Words written to the memory tiles").labels()
 
-    # Series are resolved once, not per scrape. This is sound because
-    # the link set and ``soc.accelerators`` are fixed after build and
-    # link counters only grow: a link that has carried traffic stays
-    # exposed, so only the still-idle links need re-checking, and a
-    # scrape writes ``series.value`` for the live links and devices.
-    idle_links = list(soc.mesh.links.items())
+    # Series are resolved once, not per scrape. The mesh queues each
+    # link the first time it carries a packet, and link counters only
+    # grow, so a link exposed once stays exposed: a scrape binds the
+    # links queued since the last one and never visits an idle link.
+    # Sound because ``soc.accelerators`` is fixed after build.
+    queued = soc.mesh.live_links
     live_links = []   # (channel, busy series, utilization series)
     devices = [(tile, acc_busy.labels(name), acc_util.labels(name),
                 acc_status.labels(name))
@@ -65,19 +65,12 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
     memory = soc.memory_map
 
     def scrape(reg: MetricsRegistry) -> None:
-        nonlocal idle_links
-        if idle_links:
-            still_idle = []
-            for key, link in idle_links:
-                channel = link.channel
-                if link.flits_carried == 0 and channel.busy_cycles == 0:
-                    still_idle.append((key, link))
-                    continue   # keep untouched links out of the exposition
-                src, dst, plane = key
-                label = f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
-                live_links.append((channel, link_busy.labels(label, plane),
-                                   link_util.labels(label, plane)))
-            idle_links = still_idle
+        for link in queued[len(live_links):]:
+            src, dst = link.src, link.dst
+            label = f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
+            live_links.append((link.channel,
+                               link_busy.labels(label, link.plane),
+                               link_util.labels(label, link.plane)))
         for channel, busy, util in live_links:
             busy.value = channel.busy_cycles
             util.value = round(channel.utilization(), 6)

@@ -177,7 +177,11 @@ class HistogramSeries:
 
 
 class MetricFamily:
-    """Base of the three family kinds: a named, labeled series set."""
+    """Base of the three family kinds: a named, labeled series set.
+
+    Each kind supplies ``_make_series``, the factory :meth:`labels`
+    calls for a label combination it has not seen.
+    """
 
     kind = "untyped"
 
@@ -192,9 +196,6 @@ class MetricFamily:
         self.help = help
         self.label_names = tuple(label_names)
         self._series: Dict[Tuple[str, ...], object] = {}
-
-    def _make_series(self):
-        raise NotImplementedError
 
     def labels(self, *values: str):
         """The child series for one label-value combination (cached)."""

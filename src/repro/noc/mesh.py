@@ -65,6 +65,9 @@ COH_REQUEST_PLANE = "coh-req"
 COH_FORWARD_PLANE = "coh-fwd"
 COH_RESPONSE_PLANE = "coh-rsp"
 
+#: A resolved path: route links, ejection queue, (src, dst) labels.
+_Path = Tuple[Tuple[Link, ...], Fifo, Tuple[str, str]]
+
 
 class Mesh2D:
     """The NoC instance: links, ejection queues and transmission."""
@@ -109,19 +112,21 @@ class Mesh2D:
                         env, name=f"inbox{(x, y)}@{plane}")
 
         # Path table: (src, dst, plane) -> (the Link objects of the XY
-        # route, the destination's ejection queue), resolved and
-        # validated on the first packet of the triple. Sound because
-        # XY routes, the link set and the inboxes are all immutable for
-        # the lifetime of the mesh (see repro.noc.routing), so send()
-        # costs one dict probe per packet.
-        self._paths: Dict[Tuple[Coord, Coord, str],
-                          Tuple[Tuple[Link, ...], Fifo]] = {}
+        # route, the destination's ejection queue, the endpoints' trace
+        # labels), resolved and validated on the first packet of the
+        # triple. Sound because XY routes, the link set and the inboxes
+        # are all immutable for the lifetime of the mesh (see
+        # repro.noc.routing), so send() costs one dict probe per packet.
+        self._paths: Dict[Tuple[Coord, Coord, str], _Path] = {}
 
         # Aggregate statistics.
         self.packets_delivered = 0
         self.flit_hops = 0
         self.total_latency = 0
         self.delivered_by_kind: Dict[MessageKind, int] = {}
+        #: Links in the order they first carried a packet, appended at
+        #: that packet's ejection (what scrape-time collectors read).
+        self.live_links: List[Link] = []
 
         # Fault hook: a FaultInjector consulted at packet ejection
         # (None by default — the hook then costs nothing and timing is
@@ -163,13 +168,12 @@ class Mesh2D:
             path = self._resolve(packet.src, packet.dst, packet.plane)
         return PacketTransfer(self, packet, path)
 
-    def _resolve(self, src: Coord, dst: Coord,
-                 plane: str) -> Tuple[Tuple[Link, ...], Fifo]:
+    def _resolve(self, src: Coord, dst: Coord, plane: str) -> _Path:
         self._check(src, plane)
         self._check(dst, plane)
         route = tuple(self.links[(a, b, plane)]
                       for a, b in route_hops_cached(src, dst))
-        path = (route, self._inboxes[(dst, plane)])
+        path = (route, self._inboxes[(dst, plane)], (str(src), str(dst)))
         self._paths[(src, dst, plane)] = path
         return path
 
@@ -264,18 +268,18 @@ class PacketTransfer(Event):
     process: ``name``, ``is_alive`` and ``target`` let
     :meth:`Environment.blocked_processes` and :class:`DeadlockError`
     name a packet stuck on a busy link or a full inbox. Its lifetime
-    is recorded as a ``sim.process`` span named ``_transmit``.
+    is recorded as a ``sim.process`` span named ``_transmit``; its
+    packet and link spans go through the tracer's
+    :class:`~repro.trace.PacketSpans`.
     """
 
-    __slots__ = ("mesh", "packet", "_route", "_inbox", "_stage", "_hop",
-                 "_target", "_created_at", "_tracer", "_sid",
-                 "_held_sids")
+    __slots__ = ("mesh", "packet", "_route", "_inbox", "_labels",
+                 "_stage", "_hop", "_target", "_created_at", "_spans")
 
     #: The name deadlock reports and ``sim.process`` spans use.
     name = "_transmit"
 
-    def __init__(self, mesh: Mesh2D, packet: Packet,
-                 path: Tuple[Tuple[Link, ...], Fifo]) -> None:
+    def __init__(self, mesh: Mesh2D, packet: Packet, path: _Path) -> None:
         env = mesh.env
         self.env = env
         self.callbacks = []
@@ -283,7 +287,7 @@ class PacketTransfer(Event):
         self._ok = True
         self.mesh = mesh
         self.packet = packet
-        self._route, self._inbox = path
+        self._route, self._inbox, self._labels = path
         self._stage = _START
         self._target: Optional[Event] = None
         self._created_at = env.now
@@ -312,12 +316,8 @@ class PacketTransfer(Event):
             stage = self._stage
             if stage == _GRANT:
                 # The head holds link ``_hop``: cross its router.
-                if self._tracer is not None:
-                    packet = self.packet
-                    self._held_sids.append(self._tracer.begin(
-                        "noc", self._route[self._hop].track,
-                        packet.kind.name, "noc.link",
-                        flits=packet.size_flits))
+                if self._spans is not None:
+                    self._spans.hold(self._route[self._hop].track)
                 self._wait(Timeout(self.env, self.mesh.router_latency),
                            _ROUTER)
             elif stage == _ROUTER:
@@ -343,10 +343,10 @@ class PacketTransfer(Event):
             # it, it is raised again from the dispatch loop.
             tracer = self.env.tracer
             if tracer is not None:
-                tracer.complete(
+                tracer.add_span(
                     "sim", "processes", self.name, "sim.process",
-                    self._created_at, self.env.now, outcome="failed",
-                    error=type(exc).__name__)
+                    self._created_at, self.env.now,
+                    {"outcome": "failed", "error": type(exc).__name__})
             self.fail(exc)
 
     def _wait(self, event: Event, stage: int) -> None:
@@ -360,13 +360,10 @@ class PacketTransfer(Event):
         packet.injected_at = env.now
         # Read once: a tracer attached mid-flight sees only the packets
         # injected after it.
-        tracer = self._tracer = env.tracer
-        if tracer is not None:
-            self._sid = tracer.begin(
-                "noc", packet.plane, packet.kind.name, "noc.packet",
-                src=str(packet.src), dst=str(packet.dst),
-                flits=packet.size_flits)
-            self._held_sids = []
+        tracer = env.tracer
+        self._spans = None if tracer is None else tracer.open_packet(
+            packet.plane, packet.kind.name, *self._labels,
+            packet.size_flits)
         if self._route:
             self._hop = 0
             self._wait(self._route[0].channel.acquire(), _GRANT)
@@ -378,15 +375,17 @@ class PacketTransfer(Event):
         env = self.env
         mesh = self.mesh
         packet = self.packet
-        tracer = self._tracer
+        spans = self._spans
         route = self._route
         if route:
             size_flits = packet.size_flits
-            for index, link in enumerate(route):
+            for link in route:
+                if not link.packets_carried:
+                    # First traffic: scrape-time collectors bind the
+                    # link's series from this queue.
+                    mesh.live_links.append(link)
                 link.record(size_flits)
                 link.channel.release()
-                if tracer is not None:
-                    tracer.end(self._held_sids[index])
             mesh.flit_hops += size_flits * len(route)
             if env.metrics is not None:
                 env.metrics.noc_flits.labels(packet.plane).inc(
@@ -396,7 +395,12 @@ class PacketTransfer(Event):
             # link, so a lost packet never leaves a stuck channel: the
             # loss is visible only as a missing ejection (and a
             # watchdog timeout at whoever was waiting for it).
-            action = mesh.fault_injector.on_deliver(packet, env.now)
+            try:
+                action = mesh.fault_injector.on_deliver(packet, env.now)
+            except Exception:
+                if spans is not None:
+                    spans.close(None)   # links released, no outcome
+                raise
             if action == "drop":
                 mesh.packets_dropped += 1
                 if env.metrics is not None:
@@ -419,13 +423,13 @@ class PacketTransfer(Event):
         mesh.total_latency += packet.latency
         mesh.delivered_by_kind[packet.kind] = (
             mesh.delivered_by_kind.get(packet.kind, 0) + 1)
-        if tracer is not None:
-            tracer.end(self._sid, outcome="delivered")
+        if spans is not None:
+            spans.close("delivered")
         self._wait(self._inbox.put(packet), _EJECT)
 
     def _lose(self, outcome: str) -> None:
-        if self._tracer is not None:
-            self._tracer.end(self._sid, outcome=outcome)
+        if self._spans is not None:
+            self._spans.close(outcome)
         if self.packet.on_lost is not None:
             self.packet.on_lost()
         self._complete()
@@ -433,7 +437,7 @@ class PacketTransfer(Event):
     def _complete(self) -> None:
         env = self.env
         if env.tracer is not None:
-            env.tracer.complete(
-                "sim", "processes", self.name, "sim.process",
-                self._created_at, env.now, outcome="done")
+            env.tracer.add_span("sim", "processes", self.name,
+                                "sim.process", self._created_at, env.now,
+                                {"outcome": "done"})
         self.succeed(self.packet)

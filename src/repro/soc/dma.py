@@ -42,7 +42,7 @@ from ..noc import (
     MessageKind,
     Packet,
 )
-from ..sim import Environment, Fifo
+from ..sim import Environment, Fifo, Interrupt
 from .coherence import (
     CoherenceMode,
     CoherenceReply,
@@ -129,7 +129,8 @@ class DmaEngine:
 
         env.process(self._response_dispatcher(),
                     name=f"dma-rsp-dispatch{coord}")
-        env.process(self._p2p_server(), name=f"p2p-server{coord}")
+        self._p2p_server_process = env.process(
+            self._p2p_server(), name=f"p2p-server{coord}")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -191,15 +192,27 @@ class DmaEngine:
     def reset(self) -> int:
         """Hardware reset of the engine's queues (socket CMD_RESET).
 
-        Discards parked p2p chunks, abandoned putters and stale
-        response queues so a recovered tile starts its next invocation
-        from a clean slate. Returns the number of discarded items.
+        Discards parked p2p chunks, abandoned putters, stale response
+        queues and the p2p load requests of the aborted run (those
+        still queued, and the one the p2p server has taken) so a
+        recovered tile starts its next invocation from a clean slate.
+        Returns the number of discarded items.
         """
         dropped = self._p2p_store_queue.flush()
         for queue in self._responses.values():
             dropped += queue.flush()
         self._responses.clear()
         self._p2p_round_robin = 0
+        dropped += self.mesh.inbox(self.coord, DMA_REQUEST_PLANE).flush()
+        # The server holds a request while it waits for a chunk, and
+        # has taken one when its wait already triggered; either way a
+        # chunk of the next run would answer a request of this one.
+        server = self._p2p_server_process
+        waiting = server.target
+        if waiting is not None and (self._p2p_store_queue.cancel(waiting)
+                                    or waiting.triggered):
+            server.interrupt("dma reset")
+            dropped += 1
         if self.cache is not None:
             # A hardware reset drops the private cache; the functional
             # data lives in the backing store, so nothing is lost —
@@ -575,10 +588,17 @@ class DmaEngine:
         return None
 
     def _p2p_server(self):
-        """Sender side: answer p2p load requests with parked chunks."""
+        """Sender side: answer p2p load requests with parked chunks.
+
+        :meth:`reset` interrupts the server to drop the request it has
+        taken; it then waits for the next one.
+        """
         inbox = self.mesh.inbox(self.coord, DMA_REQUEST_PLANE)
         while True:
-            packet = yield inbox.get()
+            try:
+                packet = yield inbox.get()
+            except Interrupt:
+                continue
             request = packet.payload
             if not isinstance(request, P2PLoadRequest):
                 raise TypeError(
@@ -589,7 +609,12 @@ class DmaEngine:
                 self.owner, "p2p-server", f"serve[{request.words}w]",
                 "dma.p2p_serve", reply_to=str(request.reply_to),
                 words=request.words)
-            chunk = yield self._p2p_store_queue.get()
+            try:
+                chunk = yield self._p2p_store_queue.get()
+            except Interrupt:
+                if sid is not None:
+                    tracer.end(sid, outcome="reset")
+                continue
             if len(chunk) != request.words:
                 raise ValueError(
                     f"p2p size mismatch at {self.coord}: receiver asked "

@@ -19,6 +19,7 @@ postmortem artifacts when health alerts fire.
 from .tracer import (
     CounterSample,
     Instant,
+    PacketSpans,
     Span,
     Tracer,
     attach_tracer,
@@ -74,6 +75,7 @@ __all__ = [
     "GROUP_PRECEDENCE",
     "Instant",
     "POSTMORTEM_SCHEMA",
+    "PacketSpans",
     "QUERY_GROUPS",
     "RequestTimeline",
     "Span",

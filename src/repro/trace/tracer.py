@@ -52,6 +52,13 @@ Two fleet-era additions ride on the same store:
   annotated with ``trace_id`` (and ``trace_ids`` when the batch
   coalesced several requests). The arbiter's all-or-nothing exclusive
   grant is what makes keying by device unambiguous.
+
+NoC packets, the bulk of a traced run's records, have their own entry
+point: :meth:`Tracer.open_packet` returns a :class:`PacketSpans` that
+takes a sid and start per link grant and stores every held link span
+and the packet span in one pass at ejection. The records are exactly
+those the ``begin``/``end`` ladder would store; both paths share one
+span constructor, one annotation rule and one store/compaction step.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -84,6 +92,25 @@ class Span:
     @property
     def closed(self) -> bool:
         return self.end is not None
+
+
+_new = object.__new__
+
+
+def _span(sid: int, pid: str, tid: str, name: str, cat: str, start: int,
+          end: Optional[int], args: Dict[str, Any]) -> Span:
+    """A :class:`Span` built without the dataclass ``__init__``: every
+    span the tracer stores is made here, once per record."""
+    span = _new(Span)
+    span.sid = sid
+    span.pid = pid
+    span.tid = tid
+    span.name = name
+    span.cat = cat
+    span.start = start
+    span.end = end
+    span.args = args
+    return span
 
 
 @dataclass(frozen=True)
@@ -136,6 +163,9 @@ class Tracer:
         self.dropped_instants = 0
         self.dropped_counters = 0
         self._open: Dict[int, Span] = {}
+        # NoC packets in flight (their spans are stored at ejection),
+        # keyed by packet span id.
+        self._in_flight: Dict[int, PacketSpans] = {}
         self._sids = itertools.count()
         # Parallel list of span *end* cycles, for bisect windowing.
         # Spans are appended when they close, so this is monotone
@@ -146,6 +176,10 @@ class Tracer:
         # device pids, (pid, tid) tracks, or tile-coordinate strings
         # matched against NoC packet src/dst args.
         self._bindings: Dict[Any, Tuple[str, ...]] = {}
+        # pid -> how many bound keys name it (as the key or as the pid
+        # of a (pid, tid) key): a record whose pid is not here can only
+        # match through its src/dst args.
+        self._bound_pids: Dict[Any, int] = {}
 
     # -- trace-context propagation ----------------------------------------
 
@@ -157,11 +191,18 @@ class Tracer:
         ``src``/``dst`` args. Binding an empty ID tuple is a no-op.
         """
         if trace_ids:
+            if key not in self._bindings:
+                pid = key[0] if isinstance(key, tuple) else key
+                self._bound_pids[pid] = self._bound_pids.get(pid, 0) + 1
             self._bindings[key] = tuple(trace_ids)
 
     def unbind(self, key: Any) -> None:
         """Remove a binding (missing keys are ignored)."""
-        self._bindings.pop(key, None)
+        if self._bindings.pop(key, None) is not None:
+            pid = key[0] if isinstance(key, tuple) else key
+            left = self._bound_pids.pop(pid) - 1
+            if left:
+                self._bound_pids[pid] = left
 
     def _annotate(self, pid: str, tid: str,
                   args: Dict[str, Any]) -> None:
@@ -170,9 +211,11 @@ class Tracer:
         if "trace_id" in args:
             return
         bindings = self._bindings
-        ids = bindings.get((pid, tid))
-        if ids is None:
-            ids = bindings.get(pid)
+        ids = None
+        if pid in self._bound_pids:
+            ids = bindings.get((pid, tid))
+            if ids is None:
+                ids = bindings.get(pid)
         if ids is None:
             src = args.get("src")
             if src is not None:
@@ -194,8 +237,8 @@ class Tracer:
         if self._bindings:
             self._annotate(pid, tid, args)
         sid = next(self._sids)
-        self._open[sid] = Span(sid=sid, pid=pid, tid=tid, name=name,
-                               cat=cat, start=self.env.now, args=args)
+        self._open[sid] = _span(sid, pid, tid, name, cat, self.env.now,
+                                None, args)
         return sid
 
     def end(self, sid: int, **args: Any) -> Span:
@@ -206,32 +249,56 @@ class Tracer:
         span.end = self.env.now
         if args:
             span.args.update(args)
-        self.spans.append(span)
-        self._ends.append(span.end)
-        capacity = self.capacity
-        if capacity is not None and len(self.spans) > 2 * capacity:
-            self._compact_spans()
+        self._store((span,), span.end)
         return span
 
     def complete(self, pid: str, tid: str, name: str, cat: str,
                  start: int, end: int, **args: Any) -> Span:
         """Record an already-finished interval in one call."""
+        return self.add_span(pid, tid, name, cat, start, end, args)
+
+    def add_span(self, pid: str, tid: str, name: str, cat: str,
+                 start: int, end: int, args: Dict[str, Any]) -> Span:
+        """:meth:`complete` with ``args`` passed as a dict the tracer
+        takes over, for hot sites that would only pack keywords."""
         if end < start:
             raise ValueError(f"span ends at {end} before start {start}")
         if self._bindings:
             self._annotate(pid, tid, args)
-        span = Span(sid=next(self._sids), pid=pid, tid=tid, name=name,
-                    cat=cat, start=start, end=end, args=args)
-        self.spans.append(span)
-        if self._ends_sorted and self._ends and end < self._ends[-1]:
+        span = _span(next(self._sids), pid, tid, name, cat, start, end,
+                     args)
+        self._store((span,), end)
+        return span
+
+    def open_packet(self, plane: str, kind: str, src: str, dst: str,
+                    flits: int) -> "PacketSpans":
+        """Open a NoC packet's ``noc.packet`` span at the current cycle.
+
+        The returned :class:`PacketSpans` records the packet's link
+        holds and closes them with the packet (see its docstring).
+        """
+        args = {"src": src, "dst": dst, "flits": flits}
+        if self._bindings:
+            self._annotate("noc", plane, args)
+        sid = next(self._sids)
+        packet = self._in_flight[sid] = PacketSpans(
+            self, _span(sid, "noc", plane, kind, "noc.packet",
+                        self.env.now, None, args))
+        return packet
+
+    def _store(self, spans: Sequence[Span], end: int) -> None:
+        """Store closed spans that all end at cycle ``end``: the spans,
+        the end index, its order flag and the ring compaction."""
+        ends = self._ends
+        if self._ends_sorted and ends and end < ends[-1]:
             # A back-dated end breaks the record-order monotonicity;
             # spans_between falls back to the linear scan.
             self._ends_sorted = False
-        self._ends.append(end)
-        capacity = self.capacity
-        if capacity is not None and len(self.spans) > 2 * capacity:
+        self.spans.extend(spans)
+        ends.extend([end] * len(spans))
+        if self.capacity is not None and \
+                len(self.spans) > 2 * self.capacity:
             self._compact_spans()
-        return span
 
     def instant(self, pid: str, tid: str, name: str, cat: str,
                 **args: Any) -> None:
@@ -256,9 +323,17 @@ class Tracer:
             self.dropped_counters += drop
 
     def _compact_spans(self) -> None:
-        """Evict down to ``capacity`` spans (callers check that the
-        store has grown past twice that, so the check costs no call)."""
-        drop = len(self.spans) - self.capacity
+        """Evict the oldest spans (callers check that the store has
+        grown past twice ``capacity``, so the check costs no call).
+
+        Evicts what appending the spans one at a time would have: each
+        append that overflows drops ``capacity + 1`` spans (down to
+        ``capacity``), so a batch that overflows the ring k times
+        drops k times that.
+        """
+        capacity = self.capacity
+        overflows = -(-(len(self.spans) - 2 * capacity) // (capacity + 1))
+        drop = overflows * (capacity + 1)
         del self.spans[:drop]
         del self._ends[:drop]
         self.dropped_spans += drop
@@ -278,7 +353,14 @@ class Tracer:
 
     @property
     def open_spans(self) -> List[Span]:
-        return list(self._open.values())
+        """Every span still open, in sid (opening) order."""
+        spans = list(self._open.values())
+        if self._in_flight:
+            for packet in self._in_flight.values():
+                spans.append(packet.span)
+                spans.extend(packet.holds)
+            spans.sort(key=attrgetter("sid"))
+        return spans
 
     def all_spans(self, cat: Optional[str] = None,
                   closed_only: bool = True) -> List[Span]:
@@ -330,6 +412,7 @@ class Tracer:
         self.instants.clear()
         self.counters.clear()
         self._open.clear()
+        self._in_flight.clear()
         self._ends.clear()
         self._ends_sorted = True
 
@@ -338,8 +421,66 @@ class Tracer:
         ring = (f" ring={self.capacity}" if self.capacity is not None
                 else "")
         return (f"<Tracer{ns}{ring} {len(self.spans)} spans "
-                f"({len(self._open)} open), {len(self.instants)} "
+                f"({len(self.open_spans)} open), {len(self.instants)} "
                 f"instants, {len(self.counters)} counter samples>")
+
+
+class PacketSpans:
+    """The open spans of one NoC packet in flight.
+
+    A packet records one ``noc.packet`` span (``pid`` ``"noc"``, ``tid``
+    the plane) from injection to ejection and one ``noc.link`` span
+    (``tid`` the link's track) per route link, from the grant that
+    hands the link to the head flit until ejection releases it. The
+    tracer opens the packet span (:meth:`Tracer.open_packet`); the
+    transfer calls :meth:`hold` at each grant, which opens a link span
+    with its sid, start and trace-context annotation (so sids
+    interleave with other records exactly as ``begin`` calls would),
+    and :meth:`close` once at ejection, which ends and stores every
+    held link span, then the packet span, in one pass. Until then
+    :attr:`Tracer.open_spans` lists them.
+    """
+
+    __slots__ = ("tracer", "span", "holds")
+
+    def __init__(self, tracer: Tracer, span: Span) -> None:
+        self.tracer = tracer
+        self.span = span
+        #: The open link spans, in route order.
+        self.holds: List[Span] = []
+
+    def hold(self, track: str) -> None:
+        """The head flit was granted the link on ``track``."""
+        tracer = self.tracer
+        span = self.span
+        args = {"flits": span.args["flits"]}
+        if "noc" in tracer._bound_pids:   # no src/dst: nothing else binds
+            tracer._annotate("noc", track, args)
+        self.holds.append(_span(next(tracer._sids), "noc", track,
+                                span.name, "noc.link", tracer.env.now,
+                                None, args))
+
+    def close(self, outcome: Optional[str]) -> None:
+        """End the held link spans, then the packet span, and store them.
+
+        ``outcome`` (``"delivered"``, ``"dropped"``, ...) joins the
+        packet span's args. ``None`` stores the link spans only and
+        leaves the packet span open: the wormhole released its links
+        but the packet never reached an outcome.
+        """
+        tracer = self.tracer
+        now = tracer.env.now
+        spans = self.holds
+        self.holds = []
+        for span in spans:
+            span.end = now
+        if outcome is not None:
+            packet = self.span
+            del tracer._in_flight[packet.sid]
+            packet.end = now
+            packet.args["outcome"] = outcome
+            spans.append(packet)
+        tracer._store(spans, now)
 
 
 def _environment_of(target):

@@ -221,6 +221,28 @@ class TestSampler:
         env.run(until=env.process(workload()))
         assert seen == [5, 10]
 
+    def test_stop_ends_scrapes_and_callbacks(self):
+        env = Environment()
+        registry = attach_metrics(env)
+        scrapes, ticks = [], []
+        registry.register_collector(lambda r: scrapes.append(r.env.now))
+        sampler = MetricsSampler(
+            registry, interval=10,
+            callbacks=[lambda r: (ticks.append(r.env.now), r.collect())])
+        sampler.start()
+
+        def workload():
+            yield env.timeout(35)
+            sampler.stop()
+            sampler.stop()   # idempotent
+            yield env.timeout(100)
+
+        env.run(until=env.process(workload()))
+        assert ticks == scrapes == [10, 20, 30]
+        assert sampler.samples_taken == 3
+        env.run()   # the sampler left nothing scheduled behind it
+        assert env.now == 135 and ticks == [10, 20, 30]
+
     def test_bad_interval(self):
         registry = fresh_registry()
         with pytest.raises(ValueError):

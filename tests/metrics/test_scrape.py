@@ -3,7 +3,9 @@
 A sampler is a clock: its callback (typically ``HealthMonitor.evaluate``)
 refreshes the collector-backed gauges itself, so a tick costs exactly
 one scrape. The SoC collectors bind each series once and walk only the
-links that have carried traffic; the differential test below replays
+links that have carried traffic (the mesh queues a link the first time
+it carries a packet, so a scrape never visits an idle one); the
+differential test below replays
 the straightforward algorithm (walk every link, skip the untouched
 ones, format the labels) at every tick and demands the same snapshot.
 The pinned digest covers a whole observed fleet: alerts, control
@@ -32,6 +34,7 @@ from repro.metrics import (
     link_congestion_rule,
     stalled_devices,
 )
+from repro.noc import Link
 from repro.runtime import EspRuntime, chain
 from repro.serve import (
     InferenceServer,
@@ -139,6 +142,29 @@ class TestCollectorsMatchReference:
         # Traffic arrived while the run went on: links went live
         # between ticks, and the mesh was never fully live.
         assert checked[0] < checked[-1] < len(server.soc.mesh.links)
+
+    def test_scrape_visits_no_idle_link(self):
+        server = build_server()
+        registry = instrument_server(server)
+        server.run_trace(build_trace())
+        registry.run_collectors()
+        links = server.soc.mesh.links.values()
+        idle = [link for link in links if link.packets_carried == 0]
+        assert len(links) == 204 and len(idle) > 150
+
+        visits = []
+
+        class WatchedLink(Link):
+            def __getattribute__(self, name):
+                visits.append(name)
+                return super().__getattribute__(name)
+
+        for link in idle:
+            link.__class__ = WatchedLink
+        registry.run_collectors()
+        for link in idle:
+            link.__class__ = Link
+        assert visits == []
 
     def test_congestion_and_stall_verdicts_match_a_full_sort(self):
         server = build_server()

@@ -8,7 +8,10 @@ same seeded, contended, multi-plane traffic. Everything observable must
 match: the kernel's dispatch order (each event described by what it is
 and whose callback it wakes), per-packet timestamps, per-link and mesh
 counters, tracer records and metrics, the event count, the failures
-waiters see, and what the deadlock report names at the end.
+waiters see, and what the deadlock report names at the end. The tracer
+store (closed spans, open spans, ring evictions, the end index) must
+match at sample points throughout the run too, under ring-bounded
+tracers and trace-context bindings that change mid-run.
 """
 
 from __future__ import annotations
@@ -222,8 +225,37 @@ def make_traffic(seed: int, injectors: int = 6, sends: int = 40):
     return traffic, bounded
 
 
-def observe(mesh_cls, seed: int, tracing: str) -> dict:
-    """Run the seeded traffic on ``mesh_cls``; return what is visible."""
+#: Trace-context bindings changed mid-run: (cycle, key, trace ids),
+#: an empty tuple unbinding the key. Keys: a tile coordinate (matched
+#: against packet src/dst), a link's (pid, tid) track and the "noc"
+#: pid (matching every packet and link span).
+TRACK = ("noc", "io-irq (1, 0)->(1, 1)")
+BINDINGS = ((15, "(1, 1)", ("t-a",)), (30, TRACK, ("t-b", "t-c")),
+            (50, "noc", ("t-d",)), (65, "(1, 1)", ()), (80, "noc", ()),
+            (95, "(2, 1)", ("t-e",)), (110, TRACK, ()))
+#: Cycles between two samples of the tracer store, and their number.
+SAMPLE_EVERY, SAMPLES = 9, 40
+
+
+def store_records(tracer) -> tuple:
+    """What a reader of the tracer store sees right now."""
+    return ([records(s) for s in tracer.spans],
+            [records(s) for s in tracer.open_spans],
+            tracer.dropped_spans, list(tracer._ends))
+
+
+def records(span) -> tuple:
+    return (span.sid, span.pid, span.tid, span.name, span.cat,
+            span.start, span.end, span.args)
+
+
+def observe(mesh_cls, seed: int, tracing: str, capacity=None,
+            sampled: bool = False) -> dict:
+    """Run the seeded traffic on ``mesh_cls``; return what is visible.
+
+    ``capacity`` bounds the tracer's rings; ``sampled`` also changes
+    the BINDINGS mid-run and samples the tracer store periodically.
+    """
     env = LoggingEnvironment()
     mesh = mesh_cls(env, 3, 3, trace_links=True)
     if mesh_cls is ReferenceMesh:
@@ -242,7 +274,7 @@ def observe(mesh_cls, seed: int, tracing: str) -> dict:
     observers = {}
 
     def attach():
-        observers["tracer"] = env.tracer = Tracer(env)
+        observers["tracer"] = env.tracer = Tracer(env, capacity=capacity)
         observers["metrics"] = attach_metrics(env)
 
     if tracing == "on":
@@ -288,8 +320,28 @@ def observe(mesh_cls, seed: int, tracing: str) -> dict:
                 waiters[0].fail(RuntimeError(f"reset of {link.track}"))
                 return
 
+    samples: List[tuple] = []
+
+    def binder():
+        for at, key, ids in BINDINGS:
+            yield env.timeout(at - env.now)
+            if env.tracer is not None:
+                if ids:
+                    env.tracer.bind(key, ids)
+                else:
+                    env.tracer.unbind(key)
+
+    def sampler():
+        for _ in range(SAMPLES):
+            yield env.timeout(SAMPLE_EVERY)
+            if env.tracer is not None:
+                samples.append((env.now, store_records(env.tracer)))
+
     if tracing == "mid":
         env.process(attach_later(), name="attach")
+    if sampled:
+        env.process(binder(), name="binder")
+        env.process(sampler(), name="sampler")
     for (coord, plane), pauses in bounded.items():
         inbox = mesh.inbox(coord, plane)
         inbox.capacity = 1
@@ -298,10 +350,6 @@ def observe(mesh_cls, seed: int, tracing: str) -> dict:
         env.process(injector(plan), name=f"injector{index}")
     env.process(saboteur(), name="saboteur")
     drain(env)
-
-    def records(span):
-        return (span.sid, span.pid, span.tid, span.name, span.cat,
-                span.start, span.end, span.args)
 
     tracer = observers.get("tracer")
     metrics = observers.get("metrics")
@@ -323,8 +371,8 @@ def observe(mesh_cls, seed: int, tracing: str) -> dict:
                     for fifo in mesh._inboxes.values()],
         "blocked": [(env.owner(proc), getattr(target, "wait_reason", None))
                     for proc, target in env.blocked_processes()],
-        "spans": tracer and [records(s) for s in tracer.spans],
-        "open": tracer and [records(s) for s in tracer._open.values()],
+        "store": tracer and store_records(tracer),
+        "samples": samples,
         "metrics": metrics and metrics.snapshot(),
     }
 
@@ -353,15 +401,48 @@ def test_transfer_matches_reference_process(seed, tracing):
     reasons = [reason for _, reason in expected["blocked"]]
     assert any(reason.startswith("get on empty fifo") for reason in reasons)
     if tracing != "off":
-        cats = {span[4] for span in expected["spans"]}
+        cats = {span[4] for span in expected["store"][0]}
         assert {"noc.packet", "noc.link", "sim.process"} <= cats
+
+
+@pytest.mark.parametrize("tracing", ["on", "mid"])
+@pytest.mark.parametrize("capacity", [1, 7, 64, None])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tracer_store_matches_reference_throughout(seed, capacity, tracing):
+    expected = observe(ReferenceMesh, seed, tracing, capacity, sampled=True)
+    got = observe(Mesh2D, seed, tracing, capacity, sampled=True)
+    # The first sample that differs names the cycle it was taken at.
+    for (at, want), (when, have) in zip(expected["samples"],
+                                        got["samples"]):
+        assert (when, have) == (at, want), at
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert got[key] == expected[key], key
+
+    # The samples saw spans open mid-flight and, on a ring, evictions
+    # under way; the run annotated a record through every binding
+    # (the ring runs replay the same traffic and bindings).
+    samples = expected["samples"]
+    assert len(samples) > 20
+    assert any(open_spans for _, (_, open_spans, _, _) in samples)
+    dropped = [dropped for _, (_, _, dropped, _) in samples]
+    if capacity is not None:
+        assert len(set(dropped)) > 2
+        return
+    assert dropped[-1] == 0
+    ids = {(span[4], span[7].get("trace_ids", span[7].get("trace_id")))
+           for span in expected["store"][0]}
+    assert {("noc.link", "t-d"), ("noc.packet", "t-d"),
+            ("noc.packet", "t-e")} <= ids
+    if tracing == "on":
+        assert {("noc.packet", "t-a"), ("noc.link", ("t-b", "t-c"))} <= ids
 
 
 def test_mid_flight_tracer_sees_only_later_injections():
     got = observe(Mesh2D, 0, "mid")
-    packet_spans = [span for span in got["spans"]
+    packet_spans = [span for span in got["store"][0]
                     if span[4] == "noc.packet"]
-    process_spans = [span for span in got["spans"]
+    process_spans = [span for span in got["store"][0]
                      if span[3] == "_transmit"]
     assert min(span[5] for span in packet_spans) >= 37
     # A transfer injected before the tracer and finished after it

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.noc import DMA_REQUEST_PLANE, DMA_RESPONSE_PLANE, Mesh2D
+from repro.noc import (
+    DMA_REQUEST_PLANE,
+    DMA_RESPONSE_PLANE,
+    Mesh2D,
+    MessageKind,
+    Packet,
+)
 from repro.sim import Environment
 from repro.soc import (
     DmaEngine,
     MemoryMap,
     MemoryTile,
     P2PConfig,
+    P2PLoadRequest,
     P2P_QUEUE_DEPTH,
     Tlb,
 )
@@ -343,4 +350,53 @@ class TestStalledConsumer:
         env.process(send_side())
         done = env.process(recv_side())
         env.run(until=done)
+        np.testing.assert_array_equal(got["data"], sent)
+
+    @pytest.mark.parametrize("stale", ["held", "queued", "handed"])
+    def test_reset_drops_requests_of_the_aborted_stream(self, stale):
+        """A reset drops the p2p load requests the receiver sent before
+        it: the one the server holds while it waits for a chunk, those
+        still queued behind it, and one already handed to the server
+        but not yet read. A fresh stream then gets fresh data."""
+        env, mesh, mm, _ = make_fabric()
+        producer = DmaEngine(env, mesh, (0, 0), mm)
+        receiver = DmaEngine(env, mesh, (1, 0), mm)
+        inbox = mesh.inbox((0, 0), DMA_REQUEST_PLANE)
+        p2p_load = P2PConfig(load_enabled=True, sources=((0, 0),))
+
+        def aborted_load():
+            yield from receiver.load(0, 16, p2p=p2p_load)
+
+        env.run(until=10)   # the servers park on their inboxes
+        if stale == "handed":
+            request = P2PLoadRequest(words=16, word_bits=16,
+                                     reply_to=(1, 0), tag="stale")
+            inbox.put(Packet(src=(1, 0), dst=(0, 0),
+                             plane=DMA_REQUEST_PLANE,
+                             kind=MessageKind.P2P_REQ, payload_flits=0,
+                             payload=request, tag="stale"))
+        else:
+            for _ in range(2 if stale == "queued" else 1):
+                env.process(aborted_load())
+            env.run(until=500)
+            assert len(inbox) == (1 if stale == "queued" else 0)
+        producer.reset()
+        receiver.reset()
+        env.run(until=env.now + 100)
+        assert len(inbox) == 0
+
+        sent = np.arange(16, dtype=float)
+        got = {}
+
+        def send_side():
+            yield from producer.store(0, sent,
+                                      p2p=P2PConfig(store_enabled=True))
+
+        def recv_side():
+            got["data"] = yield from receiver.load(0, 16, p2p=p2p_load)
+
+        env.process(send_side())
+        done = env.process(recv_side())
+        env.run(until=env.now + 5_000)
+        assert done.triggered
         np.testing.assert_array_equal(got["data"], sent)
