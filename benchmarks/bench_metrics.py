@@ -37,6 +37,7 @@ from repro.metrics import (
     default_rules,
     instrument_server,
     parse_exposition,
+    register_soc_collectors,
     to_prometheus,
 )
 
@@ -67,11 +68,18 @@ def run_pipeline(mode, n_frames, instrument):
     config = APP_CONFIGS["4nv_4cl"]
     frames, _ = config.make_inputs(n_frames, seed=0)
     runtime = fresh_runtime(config)
+    registry = None
     if instrument:
-        attach_metrics(runtime.soc.env)
+        # The SoC families are written from the hardware counters at
+        # scrape time: without the collectors a registry records
+        # nothing here, and without a scrape the run pays nothing.
+        registry = attach_metrics(runtime.soc.env)
+        register_soc_collectors(registry, runtime.soc)
     dataflow = config.build_dataflow()
     start = time.perf_counter()
     runtime.esp_run(dataflow, frames, mode=mode)
+    if registry is not None:
+        registry.run_collectors()
     wall = time.perf_counter() - start
     env = runtime.soc.env
     return wall, env.now, env.events_processed

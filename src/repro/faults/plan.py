@@ -103,10 +103,6 @@ class FaultPlan:
     def fired(self) -> int:
         return len(self.events)
 
-    def add(self, spec: FaultSpec) -> "FaultPlan":
-        self.faults.append(spec)
-        return self
-
     def rand(self) -> float:
         """One draw from the plan's deterministic stream."""
         return float(self._rng.random())

@@ -1,15 +1,17 @@
-"""Scrape-time collectors: hardware counters -> registry gauges.
+"""Scrape-time collectors: hardware counters -> registry series.
 
-The hot-path instrumentation in :mod:`repro.metrics.registry` covers
-*events* (a packet delivered, a request admitted). Occupancy-style
-state — how busy each link is, what each accelerator's status register
-reads, how many words memory has moved — already lives in the
-simulated hardware's own counters; re-recording it per event would
-duplicate work the sockets do anyway. Collectors bridge the two
-worlds: callables registered on the :class:`MetricsRegistry` that copy
-those counters into gauges whenever somebody reads them (an exporter,
-the health monitor, the dashboard). A :class:`MetricsSampler` tick
-only triggers those readers and scrapes nothing itself.
+The simulated hardware counts its own events: the mesh its packets and
+flit-hops per plane; each socket its DMA transactions and words,
+stalls, wrapper phases, progress heartbeat, invocations, crashes and
+resets; links and tiles their busy cycles. Recording them again per
+event would count everything twice, so the SoC families are written
+from those counters by collectors: callables registered on the
+:class:`MetricsRegistry` that run whenever somebody reads it (an
+exporter, the health monitor, the dashboard). A
+:class:`MetricsSampler` tick only triggers those readers and scrapes
+nothing itself. Software layers (serve, runtime, control) record
+inline. A SoC event series counts what happened after its collector
+was registered, and appears with its first event after that.
 
 Collectors read simulation state and write registry series; they must
 never schedule events or advance the clock — they run outside the
@@ -22,13 +24,105 @@ from __future__ import annotations
 from .registry import MetricsRegistry, attach_metrics
 
 
-def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
-    """Wire a built SoC's hardware counters into scrape-time gauges.
+def _event_counts(prefix, tables):
+    """A scrape function for series derived from hardware event counts.
 
-    Adds gauges for per-link occupancy (busy cycles + utilization,
-    labeled by link endpoints and plane), per-accelerator occupancy
-    (busy cycles, utilization, live ``STATUS_REG`` value), and memory
-    traffic (words read/written per run so far).
+    Each table is ``(family, events, values)``: two dicts keyed by the
+    last label value, holding how many events each series counts and
+    what it shows (often the same dict). A series is bound the first
+    time its event count moves past the baseline read here, and then
+    shows its value less the baseline value. A table whose events did
+    not move since the previous scrape costs one dict comparison.
+    """
+    state = [(family, events, values, dict(events), dict(values),
+              dict(events), {}) for family, events, values in tables]
+
+    def scrape() -> None:
+        for family, events, values, base, offset, last, bound in state:
+            if events == last:
+                continue
+            last.update(events)
+            for key, n in events.items():
+                if n != base[key]:
+                    series = bound.get(key)
+                    if series is None:
+                        series = bound[key] = family.labels(*prefix, key)
+                    series.value = values[key] - offset[key]
+
+    return scrape
+
+
+def _mesh_counts(registry: MetricsRegistry, mesh):
+    """The NoC packet families, per plane (every event adds at least
+    one packet or flit-hop, so each count is its own event count)."""
+    return _event_counts((), [(family, counts, counts) for family, counts in (
+        (registry.noc_packets, mesh.delivered_by_plane),
+        (registry.noc_flits, mesh.flit_hops_by_plane),
+        (registry.noc_dropped, mesh.dropped_by_plane),
+        (registry.noc_corrupted, mesh.corrupted_by_plane))])
+
+
+def _socket_counts(registry: MetricsRegistry, name: str, tile, gauges):
+    """One socket's series: its occupancy ``gauges`` (busy cycles,
+    utilization, status), the DMA and accelerator families, and the
+    ``acc_invocation_cycles`` histogram from its invocation log."""
+    dma = tile.dma
+    busy, util, status = (family.labels(name) for family in gauges)
+    tables = _event_counts((name,), [
+        (registry.dma_transactions, dma.transactions, dma.transactions),
+        (registry.dma_words, dma.transactions, dma.transaction_words),
+        (registry.acc_phase_cycles, dma.phases_done, dma.phase_cycles)])
+    # The socket's scalar counters and their families. Every phase
+    # (each transaction ends one in the same step) and invocation also
+    # beats the heartbeat, so the counters stand still while the socket
+    # does: an idle socket costs one tuple comparison.
+    scalars = (registry.acc_invocations, registry.dma_stalls,
+               registry.acc_crashes, registry.acc_resets,
+               registry.acc_last_progress)
+
+    def read():
+        return (len(tile.invocations), dma.stalls, tile.kernel_crashes,
+                tile.resets, dma.heartbeats)
+
+    base = last = read()
+    bound = [None] * len(scalars)
+    latency = registry.acc_invocation_cycles
+
+    def scrape() -> None:
+        nonlocal last
+        busy.value = tile.busy_cycles
+        util.value = round(tile.utilization(), 6)
+        status.value = tile.status
+        now = read()
+        if now == last:
+            return
+        tables()
+        for index, n in enumerate(now):
+            if n != base[index]:
+                series = bound[index]
+                if series is None:
+                    series = bound[index] = scalars[index].labels(name)
+                series.value = n - base[index]
+        if bound[-1] is not None:
+            # The heartbeat's gauge shows the cycle of the last beat.
+            bound[-1].value = dma.last_progress
+        if now[0] > last[0]:
+            series = latency.labels(name)
+            for result in tile.invocations[last[0]:]:
+                series.observe(result.cycles)
+        last = now
+
+    return scrape
+
+
+def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
+    """Wire a built SoC's hardware counters into the registry.
+
+    Writes the NoC, DMA and accelerator families, and adds gauges for
+    per-link occupancy (busy cycles + utilization, labeled by link
+    endpoints and plane), per-accelerator occupancy (busy cycles,
+    utilization, live ``STATUS_REG`` value), and memory traffic (words
+    read/written per run so far).
     """
     link_busy = registry.gauge(
         "noc_link_busy_cycles", "Cycles each link channel was held",
@@ -59,12 +153,14 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
     # Sound because ``soc.accelerators`` is fixed after build.
     queued = soc.mesh.live_links
     live_links = []   # (channel, busy series, utilization series)
-    devices = [(tile, acc_busy.labels(name), acc_util.labels(name),
-                acc_status.labels(name))
-               for name, tile in soc.accelerators.items()]
     memory = soc.memory_map
+    noc = _mesh_counts(registry, soc.mesh)
+    sockets = [_socket_counts(registry, name, tile,
+                              (acc_busy, acc_util, acc_status))
+               for name, tile in soc.accelerators.items()]
 
     def scrape(reg: MetricsRegistry) -> None:
+        noc()
         for link in queued[len(live_links):]:
             src, dst = link.src, link.dst
             label = f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
@@ -74,10 +170,8 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
         for channel, busy, util in live_links:
             busy.value = channel.busy_cycles
             util.value = round(channel.utilization(), 6)
-        for tile, busy, util, status in devices:
-            busy.value = tile.busy_cycles
-            util.value = round(tile.utilization(), 6)
-            status.value = tile.status
+        for socket in sockets:
+            socket()
         mem_read.value = memory.words_read
         mem_written.value = memory.words_written
 

@@ -33,9 +33,16 @@ Design rules (the same contract as the tracer and the fault hooks):
   with ``env.metrics is None`` — one attribute load and a pointer
   compare.
 
-The registry pre-creates the standard instrumentation families (NoC,
-DMA, accelerator, runtime, serve) as attributes so hot sites pay one
-attribute load plus one dict lookup, never a name lookup by string.
+The software layers (serve, runtime, control) record inline. The SoC
+families (NoC, DMA, accelerator) are written at scrape time by the SoC
+collectors (:mod:`repro.metrics.collect`) from the simulated
+hardware's own counters: ``repro.soc`` and ``repro.noc`` never touch a
+registry, and a bare :func:`attach_metrics` exposes only the software
+layers' series.
+
+The registry pre-creates the standard families as attributes, so a
+site pays one attribute load plus one dict lookup, never a name lookup
+by string, and snapshots list the families in one fixed order.
 """
 
 from __future__ import annotations
@@ -291,13 +298,13 @@ class Histogram(MetricFamily):
 class MetricsRegistry:
     """All metric families of one simulation, plus scrape collectors.
 
-    Attach with :func:`attach_metrics`; instrumentation sites across
-    the stack then record into the pre-created standard families. A
-    *collector* is a callable run at scrape time (:meth:`collect`,
-    :meth:`snapshot`, health evaluation) to refresh gauges from
-    hardware counters the hot path never touches — per-link busy
-    cycles, accelerator occupancy, memory traffic. Collectors read
-    state; they must never schedule simulation events.
+    Attach with :func:`attach_metrics`; software-layer sites then
+    record into the pre-created standard families. A *collector* is a
+    callable run at scrape time (:meth:`collect`, :meth:`snapshot`,
+    health evaluation) to refresh series from hardware counters — the
+    SoC event families, per-link busy cycles, accelerator occupancy,
+    memory traffic. Collectors read state; they must never schedule
+    simulation events.
     """
 
     def __init__(self, env, namespace: Optional[str] = None) -> None:
@@ -319,8 +326,9 @@ class MetricsRegistry:
         self._families: Dict[str, MetricFamily] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
 
-        # -- standard instrumentation schema (hot-path families are
-        # attributes: one load instead of a string lookup per event) --
+        # -- standard instrumentation schema (families are attributes:
+        # one load instead of a string lookup per record). The NoC, DMA
+        # and accelerator families are written by the SoC collectors.
         self.noc_packets = self.counter(
             "noc_packets_total", "Packets delivered, per NoC plane",
             ("plane",))

@@ -119,9 +119,12 @@ class Mesh2D:
         # repro.noc.routing), so send() costs one dict probe per packet.
         self._paths: Dict[Tuple[Coord, Coord, str], _Path] = {}
 
-        # Aggregate statistics.
-        self.packets_delivered = 0
-        self.flit_hops = 0
+        # Aggregate statistics. Packet outcomes and flit-hops are kept
+        # per plane; the mesh-wide totals are their sums.
+        self.delivered_by_plane = dict.fromkeys(self.planes, 0)
+        self.flit_hops_by_plane = dict.fromkeys(self.planes, 0)
+        self.dropped_by_plane = dict.fromkeys(self.planes, 0)
+        self.corrupted_by_plane = dict.fromkeys(self.planes, 0)
         self.total_latency = 0
         self.delivered_by_kind: Dict[MessageKind, int] = {}
         #: Links in the order they first carried a packet, appended at
@@ -132,8 +135,6 @@ class Mesh2D:
         # (None by default — the hook then costs nothing and timing is
         # identical to a fault-free build).
         self.fault_injector = None
-        self.packets_dropped = 0
-        self.packets_corrupted = 0
 
     # -- topology helpers --------------------------------------------------
 
@@ -225,6 +226,22 @@ class Mesh2D:
     # -- statistics ----------------------------------------------------------
 
     @property
+    def packets_delivered(self) -> int:
+        return sum(self.delivered_by_plane.values())
+
+    @property
+    def flit_hops(self) -> int:
+        return sum(self.flit_hops_by_plane.values())
+
+    @property
+    def packets_dropped(self) -> int:
+        return sum(self.dropped_by_plane.values())
+
+    @property
+    def packets_corrupted(self) -> int:
+        return sum(self.corrupted_by_plane.values())
+
+    @property
     def average_latency(self) -> float:
         if self.packets_delivered == 0:
             return 0.0
@@ -237,10 +254,7 @@ class Mesh2D:
 
     def plane_flits(self) -> Dict[str, int]:
         """Flit-hops per plane (shows DMA planes carrying p2p traffic)."""
-        out = {name: 0 for name in self.planes}
-        for link in self.links.values():
-            out[link.plane] += link.flits_carried
-        return out
+        return dict(self.flit_hops_by_plane)
 
 
 # Stages of a PacketTransfer, named by the event each one waits on.
@@ -386,10 +400,7 @@ class PacketTransfer(Event):
                     mesh.live_links.append(link)
                 link.record(size_flits)
                 link.channel.release()
-            mesh.flit_hops += size_flits * len(route)
-            if env.metrics is not None:
-                env.metrics.noc_flits.labels(packet.plane).inc(
-                    size_flits * len(route))
+            mesh.flit_hops_by_plane[packet.plane] += size_flits * len(route)
         if mesh.fault_injector is not None:
             # Delivery faults strike after the wormhole released every
             # link, so a lost packet never leaves a stuck channel: the
@@ -402,24 +413,18 @@ class PacketTransfer(Event):
                     spans.close(None)   # links released, no outcome
                 raise
             if action == "drop":
-                mesh.packets_dropped += 1
-                if env.metrics is not None:
-                    env.metrics.noc_dropped.labels(packet.plane).inc()
+                mesh.dropped_by_plane[packet.plane] += 1
                 self._lose("dropped")
                 return
             if action == "corrupt":
                 # Link-level CRC catches the mangled payload at
                 # ejection and discards it — corruption is detected,
                 # never silently delivered.
-                mesh.packets_corrupted += 1
-                if env.metrics is not None:
-                    env.metrics.noc_corrupted.labels(packet.plane).inc()
+                mesh.corrupted_by_plane[packet.plane] += 1
                 self._lose("corrupted")
                 return
         packet.delivered_at = env.now
-        mesh.packets_delivered += 1
-        if env.metrics is not None:
-            env.metrics.noc_packets.labels(packet.plane).inc()
+        mesh.delivered_by_plane[packet.plane] += 1
         mesh.total_latency += packet.latency
         mesh.delivered_by_kind[packet.kind] = (
             mesh.delivered_by_kind.get(packet.kind, 0) + 1)

@@ -185,8 +185,6 @@ class AcceleratorTile:
         restart the tile.
         """
         self.resets += 1
-        if self.env.metrics is not None:
-            self.env.metrics.acc_resets.labels(self.device_name).inc()
         self._start._value = 0   # clear start pulses posted while wedged
         if self._abort is not None and not self._abort.triggered:
             # Busy: pull the reset line; the run loop does the cleanup.
@@ -235,14 +233,12 @@ class AcceleratorTile:
             yield self._start.wait()
             self.regs._values[CMD_REG] = 0
             self.regs._values["STATUS_REG"] = STATUS_RUNNING
-            if env.metrics is not None:
-                # Heartbeat: starting counts as progress, so a tile
-                # that sat idle for a long time (a freshly activated
-                # spare) is not instantly "stalled" on its first
-                # invocation — quiet time is measured from the start,
-                # not from whenever the tile last did work.
-                env.metrics.acc_last_progress.labels(
-                    self.device_name).set(env.now)
+            # Starting counts as progress, so a tile that sat idle for
+            # a long time (a freshly activated spare) is not instantly
+            # "stalled" on its first invocation — quiet time is
+            # measured from the start, not from whenever the tile last
+            # did work.
+            self.dma.heartbeat()
             config = self._snapshot_config()
             fault = None
             if self.fault_injector is not None:
@@ -257,9 +253,6 @@ class AcceleratorTile:
             except KernelCrash:
                 self._abort = None
                 self.kernel_crashes += 1
-                if env.metrics is not None:
-                    env.metrics.acc_crashes.labels(
-                        self.device_name).inc()
                 self.regs._values["STATUS_REG"] = STATUS_ERROR
                 if env.tracer is not None:
                     env.tracer.instant(self.device_name, "socket",
@@ -292,13 +285,7 @@ class AcceleratorTile:
             self.invocations.append(result)
             self.frames_processed += result.frames
             self.busy_cycles += result.cycles
-            if env.metrics is not None:
-                metrics = env.metrics
-                metrics.acc_invocations.labels(self.device_name).inc()
-                metrics.acc_invocation_cycles.labels(
-                    self.device_name).observe(result.cycles)
-                metrics.acc_last_progress.labels(
-                    self.device_name).set(env.now)
+            self.dma.heartbeat()
             self.regs._values["STATUS_REG"] = STATUS_DONE
             self._raise_irq()
 

@@ -112,13 +112,18 @@ class DmaEngine:
         self.cache: Optional[PrivateCache] = None
         self.coherence_downgrades = 0
 
-        # Statistics.
-        self.dma_loads = 0
-        self.dma_stores = 0
-        self.p2p_loads = 0
-        self.p2p_stores = 0
-        self.words_loaded = 0
-        self.words_stored = 0
+        # Socket monitors: transactions and their words per kind,
+        # injected stalls and, reported by the wrapper and the tile,
+        # completions and cycles per wrapper phase and the progress
+        # heartbeat (beats, and the cycle of the last).
+        self.transactions = dict.fromkeys(
+            ("dma_load", "dma_store", "p2p_load", "p2p_store"), 0)
+        self.transaction_words = dict.fromkeys(self.transactions, 0)
+        self.stalls = 0
+        self.phases_done = dict.fromkeys(("load", "compute", "store"), 0)
+        self.phase_cycles = dict.fromkeys(self.phases_done, 0)
+        self.heartbeats = 0
+        self.last_progress = 0
 
         # Fault hook (None = fault-free, zero overhead).
         self.fault_injector = None
@@ -155,18 +160,56 @@ class DmaEngine:
         return words_to_flits(words, self.word_bits,
                               self.mesh.flit_bits(plane))
 
-    def _record_transaction(self, metrics, op: str, words: int) -> None:
-        """One completed transaction into the live metrics registry.
+    @property
+    def dma_loads(self) -> int:
+        return self.transactions["dma_load"]
 
-        Also refreshes the owner's last-progress heartbeat gauge — the
-        signal the accelerator-stall health rule watches: a hung kernel
-        or wedged DMA engine stops completing transactions, so the
-        heartbeat goes quiet while ``STATUS_REG`` still reads RUNNING.
-        """
-        owner = self.owner
-        metrics.dma_transactions.labels(owner, op).inc()
-        metrics.dma_words.labels(owner, op).inc(words)
-        metrics.acc_last_progress.labels(owner).set(self.env.now)
+    @property
+    def dma_stores(self) -> int:
+        return self.transactions["dma_store"]
+
+    @property
+    def p2p_loads(self) -> int:
+        return self.transactions["p2p_load"]
+
+    @property
+    def p2p_stores(self) -> int:
+        return self.transactions["p2p_store"]
+
+    @property
+    def words_loaded(self) -> int:
+        words = self.transaction_words
+        return words["dma_load"] + words["p2p_load"]
+
+    @property
+    def words_stored(self) -> int:
+        words = self.transaction_words
+        return words["dma_store"] + words["p2p_store"]
+
+    def heartbeat(self) -> None:
+        """Record progress. A hung kernel or wedged engine stops beating
+        while ``STATUS_REG`` still reads RUNNING (the stall signal)."""
+        self.heartbeats += 1
+        self.last_progress = self.env.now
+
+    def end_phase(self, phase: str, cycles: int, tracer, sid) -> None:
+        """End one wrapper phase of ``cycles`` cycles: count it, beat,
+        close its span. Every transaction ends a LOAD or STORE phase in
+        the same step, and a long COMPUTE is progress too, not a stall
+        between transactions."""
+        self.phases_done[phase] += 1
+        self.phase_cycles[phase] += cycles
+        self.heartbeats += 1
+        self.last_progress = self.env.now
+        if sid is not None:
+            tracer.end(sid)
+
+    def _complete(self, op: str, words: int, tracer, sid) -> None:
+        """End one transaction: count it, close its span."""
+        self.transactions[op] += 1
+        self.transaction_words[op] += words
+        if sid is not None:
+            tracer.end(sid)
 
     def _maybe_stall(self):
         """Injected engine stall before a transaction (generator).
@@ -179,8 +222,7 @@ class DmaEngine:
         stall = self.fault_injector.dma_stall(self.coord, self.env.now)
         if stall is None:
             return
-        if self.env.metrics is not None:
-            self.env.metrics.dma_stalls.labels(self.owner).inc()
+        self.stalls += 1
         if stall < 0:   # FaultInjector.HANG
             forever = self.env.event()
             forever.wait_reason = (f"injected dma hang at tile "
@@ -256,13 +298,7 @@ class DmaEngine:
             packet = yield self._response_queue(tag).get()
             parts.append(np.asarray(packet.payload))
             del self._responses[tag]
-        self.dma_loads += 1
-        self.words_loaded += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_load", n_words)
-        if sid is not None:
-            tracer.end(sid)
+        self._complete("dma_load", n_words, tracer, sid)
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def _dma_store(self, offset: int, data: np.ndarray,
@@ -307,13 +343,7 @@ class DmaEngine:
         # because its request queue is FIFO).
         for send in sends:
             yield send
-        self.dma_stores += 1
-        self.words_stored += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_store", n_words)
-        if sid is not None:
-            tracer.end(sid)
+        self._complete("dma_store", n_words, tracer, sid)
         return None
 
     # -- fully-coherent (private cache + MESI-style protocol) ------------------
@@ -496,13 +526,7 @@ class DmaEngine:
             yield from self._maybe_stall()
         yield from self._fc_transaction(offset, n_words, write=False)
         data = self.memory_map.read_words(offset, n_words)
-        self.dma_loads += 1
-        self.words_loaded += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_load", n_words)
-        if sid is not None:
-            tracer.end(sid)
+        self._complete("dma_load", n_words, tracer, sid)
         return data
 
     def _fc_store(self, offset: int, data: np.ndarray):
@@ -521,13 +545,7 @@ class DmaEngine:
         # fully-coherent store is therefore *not* posted — completion
         # means ownership was granted, so no quiesce accounting.
         self.memory_map.write_words(offset, data)
-        self.dma_stores += 1
-        self.words_stored += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_store", n_words)
-        if sid is not None:
-            tracer.end(sid)
+        self._complete("dma_store", n_words, tracer, sid)
         return None
 
     # -- p2p -------------------------------------------------------------------
@@ -556,13 +574,7 @@ class DmaEngine:
                 tag=tag))
         packet = yield self._response_queue(tag).get()
         del self._responses[tag]
-        self.p2p_loads += 1
-        self.words_loaded += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "p2p_load", n_words)
-        if sid is not None:
-            tracer.end(sid)
+        self._complete("p2p_load", n_words, tracer, sid)
         return np.asarray(packet.payload)
 
     def _p2p_store(self, data: np.ndarray):
@@ -578,13 +590,7 @@ class DmaEngine:
             self.owner, "dma.store", f"p2p-store[{len(data)}w]",
             "dma.p2p_store", words=len(data))
         yield self._p2p_store_queue.put(data)
-        self.p2p_stores += 1
-        self.words_stored += len(data)
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "p2p_store", len(data))
-        if sid is not None:
-            tracer.end(sid)
+        self._complete("p2p_store", len(data), tracer, sid)
         return None
 
     def _p2p_server(self):

@@ -43,10 +43,6 @@ class LastLevelCache:
         self.evictions = 0
         self.writebacks = 0
 
-    def _locate(self, word_addr: int) -> Tuple[OrderedDict, int]:
-        line = word_addr // self.line_words
-        return self._sets[line % self.n_sets], line
-
     def lines_of(self, offset: int, n_words: int) -> range:
         """Line numbers a [offset, offset+n) access touches."""
         first = offset // self.line_words

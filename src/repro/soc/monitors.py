@@ -10,27 +10,11 @@ monitor report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
 from .soc_builder import SoCInstance
-
-
-@dataclass(frozen=True)
-class AcceleratorCounters:
-    device: str
-    invocations: int
-    frames: int
-    busy_cycles: int
-    utilization: float
-    dma_loads: int
-    dma_stores: int
-    p2p_loads: int
-    p2p_stores: int
-    words_loaded: int
-    words_stored: int
-    tlb_hits: int
-    tlb_misses: int
 
 
 @dataclass(frozen=True)
@@ -102,7 +86,8 @@ class MonitorReport:
 
 @dataclass(frozen=True)
 class TileActivity:
-    """Per-accelerator activity between two snapshots.
+    """Per-accelerator activity counters (cumulative, or between two
+    snapshots).
 
     The serving layer's attribution primitive: the tile arbiter grants
     a tenant exclusive tiles, so the counter delta between grant and
@@ -125,18 +110,44 @@ class TileActivity:
         if other.device != self.device:
             raise ValueError(f"cannot add activity of {self.device!r} "
                              f"and {other.device!r}")
-        return TileActivity(
-            device=self.device,
-            invocations=self.invocations + other.invocations,
-            frames=self.frames + other.frames,
-            busy_cycles=self.busy_cycles + other.busy_cycles,
-            dma_loads=self.dma_loads + other.dma_loads,
-            dma_stores=self.dma_stores + other.dma_stores,
-            p2p_loads=self.p2p_loads + other.p2p_loads,
-            p2p_stores=self.p2p_stores + other.p2p_stores,
-            words_loaded=self.words_loaded + other.words_loaded,
-            words_stored=self.words_stored + other.words_stored,
-        )
+        return _fieldwise(operator.add, self, other)
+
+
+@dataclass(frozen=True)
+class AcceleratorCounters(TileActivity):
+    """A tile's activity plus its utilization and TLB counters."""
+
+    utilization: float
+    tlb_hits: int
+    tlb_misses: int
+
+
+def _fieldwise(op, end, start, **fixed):
+    """``op`` applied field by field to two counter records of one unit.
+
+    Integer fields combine (a ``None`` in ``start`` counts as zero);
+    the others (names, coordinates, an absent LLC's ``None``) keep
+    ``end``'s value. ``fixed`` sets fields that do not combine, such
+    as a recomputed utilization.
+    """
+    for field_ in fields(end):
+        value = getattr(end, field_.name)
+        if field_.name not in fixed and isinstance(value, int):
+            fixed[field_.name] = op(value,
+                                    getattr(start, field_.name) or 0)
+    return replace(end, **fixed)
+
+
+def _activity(tile) -> dict:
+    """One read of a tile's activity counters (TileActivity's fields)."""
+    dma = tile.dma
+    return dict(invocations=len(tile.invocations),
+                frames=tile.frames_processed,
+                busy_cycles=tile.busy_cycles,
+                dma_loads=dma.dma_loads, dma_stores=dma.dma_stores,
+                p2p_loads=dma.p2p_loads, p2p_stores=dma.p2p_stores,
+                words_loaded=dma.words_loaded,
+                words_stored=dma.words_stored)
 
 
 def tile_activity(soc: SoCInstance, names) -> Dict[str, TileActivity]:
@@ -146,44 +157,29 @@ def tile_activity(soc: SoCInstance, names) -> Dict[str, TileActivity]:
         if name not in soc.accelerators:
             raise KeyError(f"unknown accelerator {name!r}; options: "
                            f"{sorted(soc.accelerators)}")
-        tile = soc.accelerators[name]
-        out[name] = TileActivity(
-            device=name,
-            invocations=len(tile.invocations),
-            frames=tile.frames_processed,
-            busy_cycles=tile.busy_cycles,
-            dma_loads=tile.dma.dma_loads,
-            dma_stores=tile.dma.dma_stores,
-            p2p_loads=tile.dma.p2p_loads,
-            p2p_stores=tile.dma.p2p_stores,
-            words_loaded=tile.dma.words_loaded,
-            words_stored=tile.dma.words_stored,
-        )
+        out[name] = TileActivity(device=name,
+                                 **_activity(soc.accelerators[name]))
     return out
+
+
+def _matched(before, after, key, what: str):
+    """``(end, start)`` pairs of two snapshots' records, by ``key``."""
+    starts = {key(record): record for record in before}
+    for end in after:
+        start = starts.get(key(end))
+        if start is None:
+            raise KeyError(f"no 'before' snapshot for {what} "
+                           f"{key(end)!r}")
+        yield end, start
 
 
 def activity_delta(before: Dict[str, TileActivity],
                    after: Dict[str, TileActivity]
                    ) -> Dict[str, TileActivity]:
     """Counter-wise ``after - before`` over matching devices."""
-    out: Dict[str, TileActivity] = {}
-    for name, end in after.items():
-        start = before.get(name)
-        if start is None:
-            raise KeyError(f"no 'before' snapshot for {name!r}")
-        out[name] = TileActivity(
-            device=name,
-            invocations=end.invocations - start.invocations,
-            frames=end.frames - start.frames,
-            busy_cycles=end.busy_cycles - start.busy_cycles,
-            dma_loads=end.dma_loads - start.dma_loads,
-            dma_stores=end.dma_stores - start.dma_stores,
-            p2p_loads=end.p2p_loads - start.p2p_loads,
-            p2p_stores=end.p2p_stores - start.p2p_stores,
-            words_loaded=end.words_loaded - start.words_loaded,
-            words_stored=end.words_stored - start.words_stored,
-        )
-    return out
+    return {end.device: _fieldwise(operator.sub, end, start)
+            for end, start in _matched(before.values(), after.values(),
+                                       lambda a: a.device, "device")}
 
 
 def monitor_delta(before: MonitorReport,
@@ -198,61 +194,23 @@ def monitor_delta(before: MonitorReport,
     elapsed = after.elapsed_cycles - before.elapsed_cycles
     if elapsed < 0:
         raise ValueError("'after' snapshot precedes 'before'")
-    before_acc = {a.device: a for a in before.accelerators}
     accelerators = []
-    for acc in after.accelerators:
-        base = before_acc.get(acc.device)
-        if base is None:
-            raise KeyError(f"no 'before' snapshot for {acc.device!r}")
-        busy = acc.busy_cycles - base.busy_cycles
-        accelerators.append(AcceleratorCounters(
-            device=acc.device,
-            invocations=acc.invocations - base.invocations,
-            frames=acc.frames - base.frames,
-            busy_cycles=busy,
-            utilization=busy / elapsed if elapsed else 0.0,
-            dma_loads=acc.dma_loads - base.dma_loads,
-            dma_stores=acc.dma_stores - base.dma_stores,
-            p2p_loads=acc.p2p_loads - base.p2p_loads,
-            p2p_stores=acc.p2p_stores - base.p2p_stores,
-            words_loaded=acc.words_loaded - base.words_loaded,
-            words_stored=acc.words_stored - base.words_stored,
-            tlb_hits=acc.tlb_hits - base.tlb_hits,
-            tlb_misses=acc.tlb_misses - base.tlb_misses,
-        ))
-    before_mem = {m.coord: m for m in before.memories}
-    memories = []
-    for mem in after.memories:
-        base = before_mem.get(mem.coord)
-        if base is None:
-            raise KeyError(f"no 'before' snapshot for memory {mem.coord}")
-        def _opt(end, start):
-            return None if end is None else end - (start or 0)
-        memories.append(MemoryCounters(
-            coord=mem.coord,
-            words_read=mem.words_read - base.words_read,
-            words_written=mem.words_written - base.words_written,
-            load_transactions=(mem.load_transactions
-                               - base.load_transactions),
-            store_transactions=(mem.store_transactions
-                                - base.store_transactions),
-            llc_hits=_opt(mem.llc_hits, base.llc_hits),
-            llc_misses=_opt(mem.llc_misses, base.llc_misses),
-            llc_writebacks=_opt(mem.llc_writebacks, base.llc_writebacks),
-        ))
+    for end, start in _matched(before.accelerators, after.accelerators,
+                               lambda a: a.device, "device"):
+        busy = end.busy_cycles - start.busy_cycles
+        accelerators.append(_fieldwise(
+            operator.sub, end, start,
+            utilization=busy / elapsed if elapsed else 0.0))
+    memories = [_fieldwise(operator.sub, end, start)
+                for end, start in _matched(before.memories, after.memories,
+                                           lambda m: m.coord, "memory")]
     plane_flits = {name: after.noc_plane_flits.get(name, 0)
                    - before.noc_plane_flits.get(name, 0)
                    for name in after.noc_plane_flits}
-    return MonitorReport(
-        elapsed_cycles=elapsed,
-        clock_mhz=after.clock_mhz,
-        accelerators=accelerators,
-        memories=memories,
-        noc_flit_hops=after.noc_flit_hops - before.noc_flit_hops,
-        noc_packets=after.noc_packets - before.noc_packets,
-        noc_plane_flits=plane_flits,
-        busiest_link=after.busiest_link,
-    )
+    return _fieldwise(operator.sub, after, before,
+                      clock_mhz=after.clock_mhz,
+                      accelerators=accelerators, memories=memories,
+                      noc_plane_flits=plane_flits)
 
 
 def read_monitors(soc: SoCInstance) -> MonitorReport:
@@ -262,20 +220,9 @@ def read_monitors(soc: SoCInstance) -> MonitorReport:
         tile = soc.accelerators[name]
         tlb_stats = tile.dma.tlb.stats()
         accelerators.append(AcceleratorCounters(
-            device=name,
-            invocations=len(tile.invocations),
-            frames=tile.frames_processed,
-            busy_cycles=tile.busy_cycles,
+            device=name, **_activity(tile),
             utilization=tile.utilization(),
-            dma_loads=tile.dma.dma_loads,
-            dma_stores=tile.dma.dma_stores,
-            p2p_loads=tile.dma.p2p_loads,
-            p2p_stores=tile.dma.p2p_stores,
-            words_loaded=tile.dma.words_loaded,
-            words_stored=tile.dma.words_stored,
-            tlb_hits=tlb_stats["hits"],
-            tlb_misses=tlb_stats["misses"],
-        ))
+            tlb_hits=tlb_stats["hits"], tlb_misses=tlb_stats["misses"]))
     memories = []
     for tile in soc.memory_map.tiles:
         llc = tile.llc

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..accelerators.results import ResultTable
 from ..hls import ResourceEstimate
-from ..noc import Mesh2D, NocReport, build_routing_table, collect_report
+from ..noc import Mesh2D, build_routing_table
 from ..sim import Environment
 from .accelerator import AcceleratorTile
 from .config import SoCConfig
@@ -59,10 +59,6 @@ class SoCInstance:
     def cycles_to_seconds(self, cycles: int) -> float:
         return cycles / (self.clock_mhz * 1e6)
 
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.cycles_to_seconds(self.env.now)
-
     def run(self, until=None):
         """Advance the simulation (delegates to the environment)."""
         return self.env.run(until=until)
@@ -80,13 +76,6 @@ class SoCInstance:
         for _ in range(unassigned):
             total = total + TILE_OVERHEAD["empty"]
         return total
-
-    def noc_report(self) -> NocReport:
-        return collect_report(self.mesh)
-
-    def dram_accesses(self) -> int:
-        """Total DRAM words moved (Fig. 8 metric)."""
-        return self.memory_map.total_accesses
 
     def accelerator(self, name: str) -> AcceleratorTile:
         if name not in self.accelerators:

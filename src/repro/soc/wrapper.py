@@ -86,21 +86,16 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
     src_stride = config.src_stride or spec.input_words
     dst_stride = config.dst_stride or spec.output_words
     tracer = env.tracer
-    metrics = env.metrics
     pid = dma.owner
     for index in range(config.n_frames):
         # LOAD: get and unpack one frame into the PLM.
         in_addr = config.src_offset + index * src_stride
         sid = None if tracer is None else tracer.begin(
             pid, "wrapper", f"load f{index}", "acc.load", frame=index)
-        phase_start = env.now if metrics is not None else 0
+        phase_start = env.now
         frame = yield from dma.load(in_addr, spec.input_words, p2p=p2p,
                                     coherence=config.coherence)
-        if metrics is not None:
-            metrics.acc_phase_cycles.labels(pid, "load").inc(
-                env.now - phase_start)
-        if sid is not None:
-            tracer.end(sid)
+        dma.end_phase("load", env.now - phase_start, tracer, sid)
 
         # COMPUTE: the kernel's schedule determines the cycle cost,
         # stretched by the tile's DVFS divider; the functional result
@@ -111,28 +106,17 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
             frame=index)
         yield env.timeout(spec.latency_cycles * config.clock_divider)
         result = results.take(spec, frame)
-        if metrics is not None:
-            metrics.acc_phase_cycles.labels(pid, "compute").inc(
-                spec.latency_cycles * config.clock_divider)
-            # Heartbeat: a completed compute is progress too, so a
-            # long-latency kernel does not look stalled between DMA
-            # transactions.
-            metrics.acc_last_progress.labels(pid).set(env.now)
-        if sid is not None:
-            tracer.end(sid)
+        dma.end_phase("compute", spec.latency_cycles * config.clock_divider,
+                      tracer, sid)
 
         # STORE: pack the output and push it downstream.
         out_addr = config.dst_offset + index * dst_stride
         sid = None if tracer is None else tracer.begin(
             pid, "wrapper", f"store f{index}", "acc.store", frame=index)
-        phase_start = env.now if metrics is not None else 0
+        phase_start = env.now
         yield from dma.store(out_addr, result, p2p=p2p,
                              coherence=config.coherence)
-        if metrics is not None:
-            metrics.acc_phase_cycles.labels(pid, "store").inc(
-                env.now - phase_start)
-        if sid is not None:
-            tracer.end(sid)
+        dma.end_phase("store", env.now - phase_start, tracer, sid)
     return InvocationResult(frames=config.n_frames, start_cycle=start,
                             end_cycle=env.now)
 
@@ -160,7 +144,6 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
     out_plm = Fifo(env, capacity=2, name="plm-out")
 
     tracer = env.tracer
-    metrics = env.metrics
     pid = dma.owner
 
     def loader():
@@ -168,15 +151,11 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
             in_addr = config.src_offset + index * src_stride
             sid = None if tracer is None else tracer.begin(
                 pid, "loader", f"load f{index}", "acc.load", frame=index)
-            phase_start = env.now if metrics is not None else 0
+            phase_start = env.now
             frame = yield from dma.load(in_addr, spec.input_words,
                                         p2p=p2p,
                                         coherence=config.coherence)
-            if metrics is not None:
-                metrics.acc_phase_cycles.labels(pid, "load").inc(
-                    env.now - phase_start)
-            if sid is not None:
-                tracer.end(sid)
+            dma.end_phase("load", env.now - phase_start, tracer, sid)
             yield in_plm.put(frame)
 
     def computer():
@@ -191,12 +170,8 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
                 frame=index)
             yield env.timeout(cycles * config.clock_divider)
             result = results.take(spec, frame)
-            if metrics is not None:
-                metrics.acc_phase_cycles.labels(pid, "compute").inc(
-                    cycles * config.clock_divider)
-                metrics.acc_last_progress.labels(pid).set(env.now)
-            if sid is not None:
-                tracer.end(sid)
+            dma.end_phase("compute", cycles * config.clock_divider,
+                          tracer, sid)
             yield out_plm.put(result)
 
     def storer():
@@ -206,14 +181,10 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
             sid = None if tracer is None else tracer.begin(
                 pid, "storer", f"store f{index}", "acc.store",
                 frame=index)
-            phase_start = env.now if metrics is not None else 0
+            phase_start = env.now
             yield from dma.store(out_addr, result, p2p=p2p,
                                  coherence=config.coherence)
-            if metrics is not None:
-                metrics.acc_phase_cycles.labels(pid, "store").inc(
-                    env.now - phase_start)
-            if sid is not None:
-                tracer.end(sid)
+            dma.end_phase("store", env.now - phase_start, tracer, sid)
 
     stages = [env.process(loader()), env.process(computer()),
               env.process(storer())]

@@ -8,8 +8,10 @@ it carries a packet, so a scrape never visits an idle one); the
 differential test below replays
 the straightforward algorithm (walk every link, skip the untouched
 ones, format the labels) at every tick and demands the same snapshot.
-The pinned digest covers a whole observed fleet: alerts, control
-actions, metrics and ring-tracer records must stay bit-identical.
+The pinned digests cover a whole observed fleet (alerts, control
+actions, metrics and ring-tracer records) and a faulted serving SoC
+observed from its second run on (registry snapshots at every sampler
+tick); both must stay bit-identical.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ from repro.eval.apps import classifier_inputs, dataflow_nv_cl, nv_cl_inputs
 from repro.eval.chaos import RESERVE_POOL, SAMPLE_INTERVAL
 from repro.eval.fleet import (build_standard_fleet, overload_workload,
                               standard_inputs)
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
 from repro.fleet import generate_arrivals
 from repro.metrics import (
     HealthMonitor,
@@ -45,8 +48,8 @@ from repro.serve import (
 from repro.soc.registers import STATUS_RUNNING
 
 
-def build_server():
-    runtime = EspRuntime(build_soc1())
+def build_server(runtime=None):
+    runtime = runtime or EspRuntime(build_soc1())
     server = InferenceServer(runtime, ServerConfig())
     server.register(TenantConfig(name="night-vision",
                                  dataflow=dataflow_nv_cl(1, 1),
@@ -263,3 +266,65 @@ class TestObservedFleetDigest:
         # The run exercises what the digest is meant to pin.
         assert min(totals.values()) > 0
         assert digest.hexdigest() == FLEET_DIGEST
+
+
+#: Digest of the faulted serving run below (the registry snapshot at
+#: every sampler tick and at the end), recorded while the SoC families
+#: were still recorded per event on the hot path.
+FAULT_DIGEST = ("592fdcc6c90a2dbf748a7b7ee9b4118f"
+                "6b77a9e314bb3dd387a569c945629903")
+
+#: Cycle after the unobserved first run ends: the crash, the hang and
+#: the second DMA stall strike while the registry watches.
+OBSERVED_FAULTS_AT = 200_000
+
+
+def faulted_server():
+    """SoC-1 serving under every fault the SoC families count: lost and
+    corrupted packets throughout, a DMA stall in each run, a kernel
+    crash, and a hang the watchdog clears with a host reset."""
+    runtime = EspRuntime(build_soc1(),
+                         recovery=RecoveryPolicy(watchdog_cycles=60_000))
+    plan = FaultPlan([
+        FaultSpec("link_drop", probability=0.015, count=None),
+        FaultSpec("link_corrupt", probability=0.015, count=None),
+        FaultSpec("dma_stall", target="cl1", at_cycle=0, duration=700),
+        FaultSpec("dma_stall", target="cl0", at_cycle=OBSERVED_FAULTS_AT,
+                  duration=700),
+        FaultSpec("acc_crash", target="cl1", at_cycle=OBSERVED_FAULTS_AT),
+        FaultSpec("acc_hang", target="nv0", at_cycle=OBSERVED_FAULTS_AT),
+    ], seed=4)
+    FaultInjector(plan).attach(runtime.soc)
+    return build_server(runtime), plan
+
+
+class TestFaultedServingDigest:
+    def test_fault_families_are_pinned(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.request._request_ids",
+                            itertools.count())
+        server, plan = faulted_server()
+        # Unobserved activity first: the registry must count only what
+        # happens after it is attached.
+        server.run_trace(build_trace())
+        before = {event.kind for event in plan.events}
+        registry = instrument_server(server)
+        digest = hashlib.sha256()
+
+        def record(reg):
+            digest.update(_canonical(reg.snapshot()).encode())
+
+        sampler = MetricsSampler(registry, interval=SAMPLE_INTERVAL,
+                                 callbacks=[record]).start()
+        server.run_trace(build_trace())
+        record(registry)
+
+        # The run exercises what the digest is meant to pin: faults of
+        # both runs, and a series in every fault-path family.
+        assert {"dma_stall", "link_drop"} <= before
+        assert sampler.samples_taken > 100
+        for name in ("dma_stalls_injected_total",
+                     "acc_kernel_crashes_total", "acc_host_resets_total",
+                     "noc_packets_dropped_total",
+                     "noc_packets_corrupted_total"):
+            assert registry.get(name).series(), name
+        assert digest.hexdigest() == FAULT_DIGEST

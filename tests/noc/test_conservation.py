@@ -33,6 +33,8 @@ def test_flit_hops_equal_sum_of_size_times_distance(cols, rows, flows):
     env.run()
     assert mesh.flit_hops == expected
     assert sum(mesh.plane_flits().values()) == expected
+    assert sum(link.flits_carried for link in mesh.links.values()) \
+        == expected
 
 
 @given(cols=st.integers(2, 4), rows=st.integers(2, 4),
